@@ -13,29 +13,25 @@
 // contribution, lowest first; each candidate's clients are evicted and
 // re-inserted over the remaining *active* servers of the cluster, and the
 // shutdown is committed only if true profit improved.
+//
+// Both passes speculate in place under savepoints over cluster k (see
+// model::AllocState::save), so a call costs O(cluster), not O(cloud).
 #pragma once
 
 #include "alloc/options.h"
 #include "model/alloc_state.h"
-#include "model/allocation.h"
 
 namespace cloudalloc::alloc {
 
 /// One TurnON pass over cluster k. Returns the realized profit delta.
-double turn_on_servers(model::Allocation& alloc, model::ClusterId k,
-                       const AllocatorOptions& opts);
 double turn_on_servers(model::AllocState& state, model::ClusterId k,
                        const AllocatorOptions& opts);
 
 /// One TurnOFF pass over cluster k. Returns the realized profit delta.
-double turn_off_servers(model::Allocation& alloc, model::ClusterId k,
-                        const AllocatorOptions& opts);
 double turn_off_servers(model::AllocState& state, model::ClusterId k,
                         const AllocatorOptions& opts);
 
 /// Runs both passes over every cluster; returns the total delta.
-double adjust_server_power(model::Allocation& alloc,
-                           const AllocatorOptions& opts);
 double adjust_server_power(model::AllocState& state,
                            const AllocatorOptions& opts);
 

@@ -255,6 +255,16 @@ const std::vector<ServerId>& Allocation::insertion_candidates(
   return cand_order_[k];
 }
 
+std::vector<ClientId> Allocation::clients_in(ClusterId k) const {
+  CHECK(k.valid() && k.value() < cloud_->num_clusters());
+  std::vector<ClientId> out;
+  for (ServerId j : cloud_->cluster(k).servers)
+    out.insert(out.end(), server_[j].clients.begin(), server_[j].clients.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 int Allocation::num_active_servers() const {
   int n = 0;
   for (ServerId j : cloud_->server_ids())

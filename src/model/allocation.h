@@ -85,6 +85,10 @@ class Allocation {
   /// Clients with psi > 0 on server j (unordered).
   const std::vector<ClientId>& clients_on(ServerId j) const;
 
+  /// Clients assigned to cluster k, ascending by id. O(cluster): gathered
+  /// from k's servers' hosted lists, not by scanning every client.
+  std::vector<ClientId> clients_in(ClusterId k) const;
+
   int num_active_servers() const;
 
   /// Insertion-candidate index: cluster k's servers ordered most-promising
@@ -109,8 +113,9 @@ class Allocation {
     return insertion_candidates(k);
   }
 
-  /// Deep-copy snapshot/restore used by the local search to evaluate
-  /// speculative moves (TurnOFF etc.) and roll back cheaply.
+  /// Deep copy, for the documented snapshot boundaries (a distributed
+  /// agent's private copy, the greedy's base state). In-place speculation
+  /// uses AllocState savepoints instead.
   Allocation clone() const { return *this; }
 
   /// Total profit (eq. 2), maintained incrementally: a mutation of client

@@ -3,6 +3,7 @@
 // strong invariants — no crashes, no aggregate drift, clean rejections.
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "alloc/server_power.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "model/alloc_state.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
 #include "model/serialize.h"
@@ -208,9 +210,12 @@ TEST(ProfitCacheFuzz, IncrementalMatchesScratchUnderRandomizedPasses) {
       case 3:
         alloc::adjust_all_dispersions(alloc, opts);
         break;
-      case 4:
-        alloc::adjust_server_power(alloc, opts);
+      case 4: {
+        model::AllocState state(std::move(alloc));
+        alloc::adjust_server_power(state, opts);
+        alloc = std::move(state).release();
         break;
+      }
       default:
         alloc::reassign_pass_snapshot(alloc, opts);
         break;
