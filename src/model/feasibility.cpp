@@ -44,6 +44,23 @@ std::string Violation::describe() const {
   return os.str();
 }
 
+SliceStability slice_stability(const Cloud& cloud, ClientId i,
+                               const Placement& p) {
+  const Client& c = cloud.client(i);
+  const ServerClass& sc = cloud.server_class_of(p.server);
+  const units::ArrivalRate arrivals =
+      p.psi * units::ArrivalRate{c.lambda_pred};
+  const units::ArrivalRate mu_p = queueing::gps_service_rate(
+      units::Share{p.phi_p}, units::WorkRate{sc.cap_p},
+      units::Work{c.alpha_p});
+  const units::ArrivalRate mu_n = queueing::gps_service_rate(
+      units::Share{p.phi_n}, units::WorkRate{sc.cap_n},
+      units::Work{c.alpha_n});
+  return SliceStability{queueing::mm1_stable(arrivals, mu_p),
+                        queueing::mm1_stable(arrivals, mu_n),
+                        (mu_p - arrivals).value(), (mu_n - arrivals).value()};
+}
+
 std::vector<Violation> check_feasibility(const Allocation& alloc, double tol) {
   const Cloud& cloud = alloc.cloud();
   std::vector<Violation> out;
@@ -62,7 +79,6 @@ std::vector<Violation> check_feasibility(const Allocation& alloc, double tol) {
 
   for (ClientId i : cloud.client_ids()) {
     if (!alloc.is_assigned(i)) continue;
-    const Client& c = cloud.client(i);
     const ClusterId k = alloc.cluster_of(i);
     double psi_sum = 0.0;
     for (const Placement& p : alloc.placements(i)) {
@@ -72,21 +88,11 @@ std::vector<Violation> check_feasibility(const Allocation& alloc, double tol) {
       if (p.psi < -tol || p.phi_p < -tol || p.phi_n < -tol)
         out.push_back({ViolationKind::kNegativeVariable, i, p.server,
                        std::min({p.psi, p.phi_p, p.phi_n})});
-      const ServerClass& sc = cloud.server_class_of(p.server);
-      const units::ArrivalRate arrivals =
-          p.psi * units::ArrivalRate{c.lambda_pred};
-      const units::ArrivalRate mu_p = queueing::gps_service_rate(
-          units::Share{p.phi_p}, units::WorkRate{sc.cap_p},
-          units::Work{c.alpha_p});
-      const units::ArrivalRate mu_n = queueing::gps_service_rate(
-          units::Share{p.phi_n}, units::WorkRate{sc.cap_n},
-          units::Work{c.alpha_n});
-      if (!queueing::mm1_stable(arrivals, mu_p))
-        out.push_back({ViolationKind::kUnstableQueue, i, p.server,
-                       (mu_p - arrivals).value()});
-      if (!queueing::mm1_stable(arrivals, mu_n))
-        out.push_back({ViolationKind::kUnstableQueue, i, p.server,
-                       (mu_n - arrivals).value()});
+      const SliceStability st = slice_stability(cloud, i, p);
+      if (!st.stable_p)
+        out.push_back({ViolationKind::kUnstableQueue, i, p.server, st.slack_p});
+      if (!st.stable_n)
+        out.push_back({ViolationKind::kUnstableQueue, i, p.server, st.slack_n});
     }
     if (std::fabs(psi_sum - 1.0) > tol)
       out.push_back({ViolationKind::kPsiNotOne, i, kNoServer, psi_sum - 1.0});

@@ -29,6 +29,23 @@ struct Violation {
   std::string describe() const;
 };
 
+/// Eq. (7) on one slice: client i's arrivals on p.server, psi *
+/// lambda_pred at the client's current predicted rate, against each
+/// stage's GPS service rate. A stage is stable when queueing::mm1_stable
+/// holds; its slack is the service rate minus the arrivals.
+/// check_feasibility reports every unstable stage, and the serving layer
+/// keeps a client's placements across a rate change only while stable().
+struct SliceStability {
+  bool stable_p = false;
+  bool stable_n = false;
+  double slack_p = 0.0;
+  double slack_n = 0.0;
+  bool stable() const { return stable_p && stable_n; }
+};
+
+SliceStability slice_stability(const Cloud& cloud, ClientId i,
+                               const Placement& p);
+
 /// Audits the allocation against all model constraints; empty means
 /// feasible. `tol` absorbs floating-point slack.
 std::vector<Violation> check_feasibility(const Allocation& alloc,

@@ -8,6 +8,7 @@
 #include "alloc/move_engine.h"
 #include "common/check.h"
 #include "common/prof.h"
+#include "model/feasibility.h"
 
 namespace cloudalloc::serve {
 namespace {
@@ -154,12 +155,19 @@ void OnlineServer::apply_event(const workload::ChurnEvent& event,
       // Serving: vacate exactly, rewrite the rate, then take the cheaper
       // of staying put (identical placements — no traffic redirected, no
       // penalty) and the best re-placement net of its migration charge
-      // against the placements the client actually occupied.
+      // against the placements the client actually occupied. Staying is
+      // an option only while every slice is still stable at the new rate;
+      // a client that can neither stay nor move is left unplaced but
+      // admitted, for the repair to re-place.
       const ClusterId old_cluster = state_->ledger().cluster_of(i);
       std::vector<Placement> old_ps = state_->ledger().placements(i);
       engine.apply(i, std::nullopt, profit_now);
       cloud_->set_lambda_pred(i, event.rate);
       const MoveEngine::Proposal prop = engine.propose_best(i);
+      const bool can_stay =
+          std::all_of(old_ps.begin(), old_ps.end(), [&](const Placement& p) {
+            return model::slice_stability(*cloud_, i, p).stable();
+          });
       const double stay_score =
           alloc::insertion_delta(state_->view(), i, old_ps);
       const double move_score =
@@ -167,9 +175,9 @@ void OnlineServer::apply_event(const workload::ChurnEvent& event,
                                            event_opts, old_ps,
                                            prop.plan->placements)
                     : AdmissionController::kInfeasible;
-      if (prop.plan && move_score > stay_score + 1e-12) {
+      if (prop.plan && (!can_stay || move_score > stay_score + 1e-12)) {
         engine.apply(i, *prop.plan, profit_now);
-      } else {
+      } else if (can_stay) {
         engine.apply(i,
                      alloc::InsertionPlan{old_cluster, std::move(old_ps),
                                           stay_score},

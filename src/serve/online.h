@@ -106,6 +106,9 @@ class OnlineServer {
   /// The allocation currently in force (valid after start()).
   const model::Allocation& allocation() const { return state_->ledger(); }
 
+  /// The engine state behind allocation(), for invariant checks.
+  const model::AllocState& state() const { return *state_; }
+
   /// Carried profit scalar of the allocation in force.
   double profit() const { return carried_profit_; }
 
