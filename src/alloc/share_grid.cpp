@@ -37,6 +37,19 @@ struct GridConsts {
   double free_share;   ///< free capacity on this server
 };
 
+/// Grid fraction of g quanta: the psi ladder every lane width consumes.
+double grid_psi(int g, int G) {
+  return static_cast<double>(g) / static_cast<double>(G);
+}
+
+/// Stability floor of the slice at grid fraction psi: the scalar form of
+/// grid_w's floor_share (the lane expression is elementwise, so the vector
+/// body matches it bitwise).
+double floor_at(double psi, const GridConsts& gc) {
+  const double arr = psi * gc.lambda;
+  return (arr + gc.headroom) * gc.alpha / gc.cap;
+}
+
 template <int W>
 [[gnu::always_inline]] inline void grid_w(const GridConsts& gc,
                                           const double* psi, int G,
@@ -72,7 +85,7 @@ template <int W>
   }
   for (; g <= G; ++g) {
     const double arr = psi[g] * gc.lambda;
-    const double floor_share = (arr + gc.headroom) * gc.alpha / gc.cap;
+    const double floor_share = floor_at(psi[g], gc);
     const double slack = std::min(psi[g] * gc.slack_work, gc.delay_slack);
     const double share = (arr * gc.alpha + slack) / gc.cap;
     double lo = floor_share;
@@ -139,8 +152,7 @@ int size_share_grid(ArrivalRate lambda, int G, units::WorkRate cap,
   // The psi ladder is a pure elementwise division; filled scalar, consumed
   // by every lane width identically.
   for (int g = 1; g <= G; ++g)
-    psi[static_cast<std::size_t>(g)] =
-        static_cast<double>(g) / static_cast<double>(G);
+    psi[static_cast<std::size_t>(g)] = grid_psi(g, G);
 
 #if CLOUDALLOC_SIMD_X86
   switch (simd::active_width()) {
@@ -161,13 +173,23 @@ int size_share_grid(ArrivalRate lambda, int G, units::WorkRate cap,
   // size_share's feasibility test, in grid order: the first g whose
   // stability floor exceeds the free capacity ends the feasible prefix
   // (larger g only needs more capacity).
-  const double limit = free_share + kEps;
   int gmax = 0;
   for (int g = 1; g <= G; ++g) {
-    if (floors[static_cast<std::size_t>(g)] > limit) break;
+    if (!floor_fits(floors[static_cast<std::size_t>(g)], free_share)) break;
     gmax = g;
   }
   return gmax;
+}
+
+double one_quantum_floor(ArrivalRate lambda, int G, units::WorkRate cap,
+                         units::Work alpha, const AllocatorOptions& opts) {
+  CHECK(G >= 1);
+  GridConsts gc{};
+  gc.lambda = lambda.value();
+  gc.headroom = opts.stability_headroom;
+  gc.alpha = alpha.value();
+  gc.cap = cap.value();
+  return floor_at(grid_psi(1, G), gc);
 }
 
 }  // namespace cloudalloc::alloc
