@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -176,6 +177,63 @@ TEST(SimdKernels, ShareGridMatchesHistoricalScalarChainAtEveryWidth) {
       }
     }
   }
+}
+
+TEST(SimdKernels, OneQuantumScreenAgreesWithShareGridAtEveryWidth) {
+  // Assign_Distribute screens out a server when the one-quantum stability
+  // floor does not fit its free share. That must be exactly the servers
+  // for which size_share_grid finds no feasible g, so step the free share
+  // one ulp at a time across the floor and compare at every lane width.
+  // The first two rates are ones where lambda / G and the grid's
+  // (1 / G) * lambda round differently.
+  ASSERT_FALSE(bits_equal(3.0 / 10.0, (1.0 / 10.0) * 3.0));
+  ASSERT_FALSE(bits_equal(7.0 / 3.0, (1.0 / 3.0) * 7.0));
+  WidthRestorer restore;
+  Rng rng(47);
+  struct Rate {
+    double lambda;
+    int G;
+  };
+  int crossed = 0;
+  for (const Rate rate : {Rate{3.0, 10}, Rate{7.0, 3}, Rate{2.2, 12},
+                          Rate{0.9, 7}, Rate{4.1, 1}}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      AllocatorOptions opts;
+      opts.stability_headroom = trial % 2 == 0 ? 0.05 : 0.0;
+      const ArrivalRate lambda{rate.lambda};
+      const WorkRate cap{2.0 + rng.uniform() * 4.0};
+      const Work alpha{0.4 + rng.uniform() * 0.6};
+      const WorkRate slack{0.1 + rng.uniform() * 2.0};
+      const Time zc{0.5 + rng.uniform() * 9.5};
+      const double floor =
+          alloc::one_quantum_floor(lambda, rate.G, cap, alpha, opts);
+
+      std::vector<ArrivalRate> arr(static_cast<std::size_t>(rate.G) + 1);
+      std::vector<Share> phi(static_cast<std::size_t>(rate.G) + 1);
+      double free_share = floor - kEps;
+      for (int step = 0; step < 64; ++step)
+        free_share = std::nextafter(free_share, -1.0);
+      bool saw_fit = false, saw_no_fit = false;
+      for (int step = 0; step < 128; ++step) {
+        const bool fits = alloc::floor_fits(floor, free_share);
+        saw_fit |= fits;
+        saw_no_fit |= !fits;
+        for (int w : sweep_widths()) {
+          simd::override_width_for_test(w);
+          const int gmax = alloc::size_share_grid(lambda, rate.G, cap, alpha,
+                                                  zc, slack, opts, free_share,
+                                                  arr.data(), phi.data());
+          ASSERT_EQ(fits, gmax != 0)
+              << "lambda " << rate.lambda << " G " << rate.G << " trial "
+              << trial << " step " << step << " width " << w;
+        }
+        free_share = std::nextafter(free_share, 2.0);
+      }
+      crossed += saw_fit && saw_no_fit ? 1 : 0;
+    }
+  }
+  // Every sweep crossed the boundary: it saw both verdicts.
+  EXPECT_EQ(crossed, 5 * 8);
 }
 
 // --- hierarchical candidate index ---------------------------------------
