@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "alloc/delta_price.h"
@@ -115,6 +116,23 @@ void OnlineServer::offer_to_admission(ClientId i, MoveEngine& engine,
   }
 }
 
+bool OnlineServer::valid_event(const workload::ChurnEvent& event) const {
+  const ClientId i = event.client;
+  if (!i.valid() || i.value() >= cloud_->num_clients()) return false;
+  const bool present = present_[i.index()] != 0;
+  // The rate test is Cloud::set_lambda_pred's precondition.
+  const bool rate_ok = std::isfinite(event.rate) && event.rate > 0.0;
+  switch (event.kind) {
+    case workload::ChurnEvent::Kind::kArrival:
+      return !present && rate_ok;
+    case workload::ChurnEvent::Kind::kDeparture:
+      return present;
+    case workload::ChurnEvent::Kind::kDemandChange:
+      return present && rate_ok;
+  }
+  return false;
+}
+
 void OnlineServer::apply_event(const workload::ChurnEvent& event,
                                MoveEngine& engine,
                                const AllocatorOptions& event_opts,
@@ -197,10 +215,16 @@ EpochStats OnlineServer::step(const std::vector<workload::ChurnEvent>& events) {
   const model::AllocState::Checkpoint prev =
       state_->checkpoint(carried_profit_);
 
-  if (events.empty()) {
+  // An invalid event changes nothing, so if none is valid against the
+  // membership before the epoch, none becomes valid during it.
+  if (std::none_of(events.begin(), events.end(),
+                   [&](const workload::ChurnEvent& event) {
+                     return valid_event(event);
+                   })) {
     // Zero-churn fast path: nothing to apply, nothing to repair. The
     // carried state and profit pass through untouched — this is the
     // bit-identity anchor of the warm path.
+    stats.invalid_events = static_cast<int>(events.size());
     stats.present = num_present();
     stats.serving = num_serving();
     stats.profit = carried_profit_;
@@ -216,11 +240,17 @@ EpochStats OnlineServer::step(const std::vector<workload::ChurnEvent>& events) {
     const AllocatorOptions event_opts = options_.alloc;
     MoveEngine engine(*state_, event_opts);
     double profit_now = state_->profit();
-    for (const workload::ChurnEvent& event : events)
+    for (const workload::ChurnEvent& event : events) {
+      if (!valid_event(event)) {
+        ++stats.invalid_events;
+        continue;
+      }
       apply_event(event, engine, event_opts, profit_now, stats);
+    }
     carried_profit_ = profit_now;
   }
-  churn_since_resolve_ += static_cast<int>(events.size());
+  churn_since_resolve_ +=
+      static_cast<int>(events.size()) - stats.invalid_events;
   refresh_serving_mask();
 
   const double churn_fraction =

@@ -19,6 +19,11 @@
 //     the old placements) is applied. Rate changes for present-but-
 //     unserved clients are re-offered to admission at the new price.
 //
+// An event that cannot apply — an unknown client id, an arrival of a
+// present client, a departure or demand change of an absent one, or a rate
+// that is not finite and positive — is skipped before it touches any state
+// and counted in EpochStats::invalid_events. It does not count as churn.
+//
 // After the events, the epoch warm-starts the repair loop from the carried
 // allocation (ResourceAllocator::improve_state with a small round budget
 // and migration-aware move pricing), falling back to a full batch re-solve
@@ -83,6 +88,8 @@ struct EpochStats {
   int rejected = 0;
   int departures = 0;
   int demand_changes = 0;
+  /// Events skipped because they could not apply (see the file comment).
+  int invalid_events = 0;
   bool full_resolve = false;
   int rounds_run = 0;  ///< repair rounds (warm) or solve rounds (full)
   int present = 0;
@@ -123,14 +130,17 @@ class OnlineServer {
   EpochStats start();
 
   /// Advances one epoch: applies `events` through the engine, then warm-
-  /// repairs or fully re-solves per the triggers above. An empty event
-  /// list takes the zero-churn fast path (no repair, profit carried).
+  /// repairs or fully re-solves per the triggers above. An event list with
+  /// no valid event takes the zero-churn fast path (no repair, profit
+  /// carried).
   EpochStats step(const std::vector<workload::ChurnEvent>& events);
 
   const std::vector<EpochStats>& history() const { return history_; }
   const AdmissionController& admission() const { return admission_; }
 
  private:
+  /// Whether `event` can apply to the current membership.
+  bool valid_event(const workload::ChurnEvent& event) const;
   void apply_event(const workload::ChurnEvent& event,
                    alloc::MoveEngine& engine,
                    const alloc::AllocatorOptions& event_opts,
