@@ -18,7 +18,9 @@
 //            - P0_j * [server j currently OFF]         (activation)
 //
 // and a dynamic program combines servers under sum_j g_j = G. Servers
-// without enough free disk for m_i are excluded up front (eq. 8).
+// without enough free disk for m_i are excluded up front (eq. 8), and so
+// are servers whose free shares cannot hold the stability floor (eq. 7) of
+// even one quantum: their rows could not take part in any split.
 //
 // Candidate pruning (AllocatorOptions::candidate_topk): instead of scoring
 // every feasible server, the evaluator first solves the DP over the top-K
