@@ -14,12 +14,19 @@
 // core count, and rows running more threads than the host has cores are
 // flagged oversubscribed instead of carrying a misleading speedup.
 //
-// With --prof=1 (or CLOUDALLOC_PROF=1) the per-phase profiler table for
-// each row is printed and embedded in the JSON report.
+// Each row solves kRepeats times and reports the median wall time (a
+// single 1k-client solve spreads by about ±20% on a shared VM, as wide as
+// CI's throughput floor); the bench exits non-zero unless every repeat
+// returns the same profit bit for bit. With --prof=1 (or
+// CLOUDALLOC_PROF=1) the median run's per-phase profiler table is printed
+// and embedded in the JSON report.
 //
 // Flags: --clients=1000,10000,100000  --threads=1,8  --shards=8
 //        --fanout=4  --rounds=1 (local-search rounds; 0 = greedy only)
 //        --prof=0  --out=BENCH_alloc_scale.json
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -36,6 +43,17 @@
 using namespace cloudalloc;
 
 namespace {
+
+/// Timed solves per row.
+constexpr int kRepeats = 3;
+
+/// One timed solve of a row.
+struct Run {
+  double ms = 0.0;
+  double profit = 0.0;
+  Json phases;              ///< profiler table (--prof=1 only)
+  std::string phase_table;  ///< the same table, printed
+};
 
 std::vector<int> parse_int_list(const std::string& csv) {
   std::vector<int> out;
@@ -80,6 +98,7 @@ int main(int argc, char** argv) {
                "clients_per_s", "profit", "oversub"});
 
   JsonArray rows;
+  bool deterministic = true;
   for (int clients : client_counts) {
     const workload::ScenarioParams params = workload::scaled_params(clients);
     const auto cloud = workload::make_scenario(params, 11);
@@ -93,10 +112,34 @@ int main(int argc, char** argv) {
       opts.cluster_fanout = fanout;
       opts.num_threads = threads;
 
-      if (with_prof) prof::reset();
-      bench::Stopwatch sw;
-      const auto result = alloc::ResourceAllocator(opts).run(cloud);
-      const double ms = sw.seconds() * 1000.0;
+      std::vector<Run> runs(kRepeats);
+      for (Run& run : runs) {
+        if (with_prof) prof::reset();
+        bench::Stopwatch sw;
+        run.profit =
+            alloc::ResourceAllocator(opts).run(cloud).report.final_profit;
+        run.ms = sw.seconds() * 1000.0;
+        if (with_prof) {
+          run.phases = phase_table_json();
+          std::ostringstream printed;
+          prof::print_table(printed);
+          run.phase_table = printed.str();
+        }
+      }
+      for (const Run& run : runs) {
+        if (std::bit_cast<std::uint64_t>(run.profit) ==
+            std::bit_cast<std::uint64_t>(runs.front().profit))
+          continue;
+        deterministic = false;
+        std::cout << "FAIL: clients=" << clients << " threads=" << threads
+                  << ": repeated solves returned different profits\n";
+      }
+      std::sort(runs.begin(), runs.end(),
+                [](const Run& a, const Run& b) { return a.ms < b.ms; });
+      const Run& median = runs[kRepeats / 2];
+      const double ms = median.ms;
+      JsonArray ms_runs;
+      for (const Run& run : runs) ms_runs.push_back(Json(run.ms));
       if (threads == thread_counts.front()) base_ms = ms;
       const double rate = static_cast<double>(clients) / (ms / 1000.0);
       // More threads than the host has cores: wall clock measures
@@ -108,7 +151,7 @@ int main(int argc, char** argv) {
                      std::to_string(params.num_clusters),
                      std::to_string(threads), std::to_string(shards),
                      Table::num(ms, 1), Table::num(rate, 0),
-                     Table::num(result.report.final_profit, 1),
+                     Table::num(median.profit, 1),
                      oversubscribed ? "yes" : "no"});
       JsonObject row{
           {"clients", Json(clients)},
@@ -118,17 +161,18 @@ int main(int argc, char** argv) {
           {"fanout", Json(fanout)},
           {"local_search_rounds", Json(rounds)},
           {"ms", Json(ms)},
+          {"ms_runs", Json(std::move(ms_runs))},
           {"clients_per_s", Json(rate)},
           {"oversubscribed", Json(oversubscribed)},
           {"speedup_vs_first",
            oversubscribed ? Json(nullptr) : Json(base_ms / ms)},
-          {"profit", Json(result.report.final_profit)},
+          {"profit", Json(median.profit)},
       };
       if (with_prof) {
-        row.emplace("phases", phase_table_json());
-        std::cout << "\n-- phases: clients=" << clients
-                  << " threads=" << threads << " --\n";
-        prof::print_table(std::cout);
+        row.emplace("phases", median.phases);
+        std::cout << "\n-- phases (median run): clients=" << clients
+                  << " threads=" << threads << " --\n"
+                  << median.phase_table;
       }
       rows.push_back(Json(std::move(row)));
     }
@@ -151,5 +195,5 @@ int main(int argc, char** argv) {
                "shard/thread count. speedup_vs_first is real\nwall clock "
                "on this host; rows with threads > hardware_threads are "
                "flagged\noversubscribed and carry no speedup.\n";
-  return 0;
+  return deterministic ? 0 : 1;
 }
