@@ -1,7 +1,7 @@
 // Added table E3c: large-population scaling of the sharded allocator —
 // the 1k/10k/100k-client points behind the "scale the allocator to 100k+
-// clients" work (sharded solve + SIMD kernels + hierarchical candidate
-// index). Runs the full ResourceAllocator on the scaled fleet
+// clients" work (sharded solve + SIMD kernels). Runs the full
+// ResourceAllocator on the scaled fleet
 // (workload::scaled_params: ~7 servers per 8 clients in 100-server
 // clusters) with the scale knobs on — sharded greedy, cluster fan-out,
 // single start — sweeping the thread count, and writes the measurements
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   if (with_prof) prof::set_enabled(true);
 
   bench::print_header("Large-population allocator scaling",
-                      "sharded solve + SIMD kernels + candidate index");
+                      "sharded solve + SIMD kernels");
   Table table({"clients", "clusters", "threads", "shards", "ms",
                "clients_per_s", "profit", "oversub"});
 

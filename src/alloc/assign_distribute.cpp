@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <type_traits>
 
 #include "alloc/share_policy.h"
@@ -15,7 +13,6 @@
 #include "opt/dp.h"
 #include "queueing/batch.h"
 #include "queueing/gps.h"
-#include "queueing/mm1.h"
 
 namespace cloudalloc::alloc {
 namespace {
@@ -160,19 +157,6 @@ bool fits_one_quantum(const State& state, ServerId j, const Probe& p,
          floor_fits(n.floor1_n, state.free_phi_n(j));
 }
 
-/// The candidate filter: in-cluster, not excluded, enough free disk,
-/// active when required (eq. 8), and room for one quantum. Applied
-/// identically when building the full list and when walking the candidate
-/// index, so the top-K subset is always a subsequence of the full list.
-template <class State>
-bool candidate_ok(const State& state, ServerId j, const Probe& p,
-                  const InsertionConstraints& constraints, Scratch& scratch) {
-  if (j == constraints.exclude) return false;
-  if (!constraints.allow_inactive && !state.active(j)) return false;
-  if (state.free_disk(j) + kEps < p.c.disk) return false;
-  return fits_one_quantum(state, j, p, scratch);
-}
-
 /// Fills the (server, quanta) score table for `cands`. Three passes per
 /// server: size the shares (stopping at the first infeasible g — larger g
 /// only needs more capacity), then the batched service-rate and two-stage
@@ -268,159 +252,6 @@ void score_rows(const State& state, const Probe& p,
   }
 }
 
-/// Exactness certificate for a top-K solve. Every score term of an
-/// excluded server j is non-positive and its delay at any quantum count is
-/// bounded below by the delay of the full free share at the one-quantum
-/// arrival rate, so f_j(g) <= g * u_j with
-///
-///   u_j = -(lambda_a * slope * dmin_j + P1_j * lambda * alpha_p / Cp_j) / G.
-///
-/// A split handing h >= 1 quanta to excluded servers therefore scores at
-/// most h * max_j(u_j) + totals[G - h]. When every such bound sits
-/// STRICTLY below the pruned optimum (with a relative margin), no
-/// excluded server can participate in — or tie — any optimal split, and
-/// the exact DP over all candidates returns the identical placements: the
-/// excluded rows' only contribution is the exact +0.0 of zero quanta, so
-/// every surviving cell value and every tie-break the traceback sees is
-/// unchanged. Every candidate passed the one-quantum screen, so the bound
-/// scans no row that is infeasible past g = 0 (the screen is the grid's
-/// own g = 1 test; this function no longer repeats it with lambda / G,
-/// which rounds differently from the grid's (1 / G) * lambda).
-///
-/// Twin redundancy: the strict bound can never discharge an excluded
-/// server whose score row bitwise-equals an included one (it ties by
-/// construction). But score rows are pure functions of the exact key
-/// (class, active, bits(free_phi_p), bits(free_phi_n)), and the grouped
-/// DP's strictly-greater update resolves every tie toward the
-/// latest-scanned row — so within a group of twin rows the exact
-/// traceback only ever places quanta on the highest-id min(m, G) members
-/// (each used row takes >= 1 of the G quanta). An excluded twin is
-/// therefore redundant — same cell values, untouched by the traceback —
-/// whenever (a) the included twins of its group number at least
-/// min(m, G) and (b) every included twin has a higher id, i.e. the group
-/// was cut by the id-descending prefix of the candidate index. Such
-/// twins are skipped by the bound scan instead of failing it.
-template <class State>
-bool certified(const State& state, const Probe& p,
-               const std::vector<ServerId>& cands,
-               const std::vector<ServerId>& pruned,
-               const opt::DpResult& dp) {
-  const Cloud& cloud = p.cloud;
-  const Client& c = p.c;
-  const Time zc = p.zc;
-  const AllocatorOptions& opts = p.opts;
-  const int G = p.G;
-  // The bound needs non-negative revenue/slope (guaranteed by the utility
-  // interface); bail to the exact scan rather than trust it otherwise.
-  if (c.lambda_agreed < 0.0 || p.slope < 0.0) return false;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  // Policy delay floor, independent of the server and of g: a slice's
-  // share never exceeds max(preferred, floor) whatever the free capacity,
-  // so its per-stage service slack (mu - lambda) never exceeds
-  // max(slack_max / alpha, stability_headroom) — the preferred share's
-  // slack is min(psi * slack_work, alpha / (theta * zc)) and the floor
-  // pins the slack to exactly the headroom. The free-capacity bound below
-  // can still be tighter on nearly-full servers; each server takes the
-  // larger of the two.
-  const auto policy_dmin = [&](Work alpha, WorkRate slack_work) {
-    WorkRate slack_max = slack_work;
-    if (std::isfinite(zc.value()) && zc.value() > 0.0)
-      slack_max = std::min(slack_max,
-                           alpha / (opts.delay_target_fraction * zc));
-    return 1.0 / std::max(slack_max / alpha,
-                          ArrivalRate{opts.stability_headroom});
-  };
-  const Time dmin_policy =
-      policy_dmin(Work{c.alpha_p}, p.sizing.slack_work_p) +
-      policy_dmin(Work{c.alpha_n}, p.sizing.slack_work_n);
-
-  // Group the candidate rows by their exact row key (see score_rows: a
-  // row reads the server only through class, activity, and the two free
-  // shares). Bitwise-equal keys => bitwise-equal rows => twins. The
-  // groups live in a reused flat buffer scanned linearly: this runs once
-  // per pruned attempt on a few dozen rows, where a node-based map's
-  // allocations would dominate the whole certification.
-  using TwinKey = std::array<std::uint64_t, 3>;
-  struct TwinGroup {
-    TwinKey key;
-    int members = 0;   ///< rows with this key among cands
-    int included = 0;  ///< of those, rows in the pruned set
-    ServerId min_included{std::numeric_limits<int>::max()};
-  };
-  const auto key_of = [&](ServerId j) {
-    const auto cls =
-        static_cast<std::uint64_t>(cloud.server(j).server_class.value());
-    return TwinKey{(cls << 1) | (state.active(j) ? 1u : 0u),
-                   std::bit_cast<std::uint64_t>(state.free_phi_p(j)),
-                   std::bit_cast<std::uint64_t>(state.free_phi_n(j))};
-  };
-  thread_local std::vector<TwinGroup> twins;
-  twins.clear();
-  const auto group_of = [&](const TwinKey& key) -> TwinGroup& {
-    for (TwinGroup& g : twins)
-      if (g.key == key) return g;
-    twins.push_back(TwinGroup{key});
-    return twins.back();
-  };
-  {
-    std::size_t pi = 0;
-    for (ServerId j : cands) {
-      const bool included = pi < pruned.size() && pruned[pi] == j;
-      if (included) ++pi;
-      TwinGroup& g = group_of(key_of(j));
-      ++g.members;
-      if (included) {
-        ++g.included;
-        g.min_included = std::min(g.min_included, j);
-      }
-    }
-  }
-
-  const ArrivalRate arr1 = ArrivalRate{c.lambda_pred} / static_cast<double>(G);
-  double ubest = 0.0;
-  bool any_excluded_feasible = false;
-  std::size_t pi = 0;  // pruned is a subsequence of cands
-  for (ServerId j : cands) {
-    if (pi < pruned.size() && pruned[pi] == j) {
-      ++pi;
-      continue;
-    }
-    const TwinGroup& tg = group_of(key_of(j));
-    if (tg.included >= std::min(tg.members, G) && j < tg.min_included)
-      continue;  // redundant twin — see the comment above
-    const ServerClass& sc = cloud.server_class_of(j);
-    const double free_p = state.free_phi_p(j);
-    const double free_n = state.free_phi_n(j);
-    const ArrivalRate mu_p_max = queueing::gps_service_rate(
-        Share{free_p}, WorkRate{sc.cap_p}, Work{c.alpha_p});
-    const ArrivalRate mu_n_max = queueing::gps_service_rate(
-        Share{free_n}, WorkRate{sc.cap_n}, Work{c.alpha_n});
-    Time dmin = queueing::mm1_response_time_or_inf(arr1, mu_p_max) +
-                queueing::mm1_response_time_or_inf(arr1, mu_n_max);
-    if (!(dmin.value() < kInf)) continue;
-    dmin = std::max(dmin, dmin_policy);
-    const double u =
-        -(c.lambda_agreed * p.slope * dmin.value() +
-          sc.cost_per_util * c.lambda_pred * c.alpha_p / sc.cap_p) /
-        static_cast<double>(G);
-    if (!any_excluded_feasible || u > ubest) {
-      ubest = u;
-      any_excluded_feasible = true;
-    }
-  }
-  if (!any_excluded_feasible) return true;
-
-  const double margin = 1e-9 * std::max(1.0, std::abs(dp.score));
-  for (int h = 1; h <= G; ++h) {
-    const double rest = dp.totals[static_cast<std::size_t>(G - h)];
-    if (rest <= opt::kDpInfeasible) continue;  // no feasible completion
-    if (static_cast<double>(h) * ubest + rest >= dp.score - margin)
-      return false;
-  }
-  return true;
-}
-
 InsertionPlan build_plan(const Client& c, const Cloud& cloud, ClientId i,
                          ClusterId k, int G,
                          const std::vector<ServerId>& cands,
@@ -465,139 +296,37 @@ std::optional<InsertionPlan> assign_distribute_impl(
   thread_local Scratch scratch;
   scratch.reset_needs(cloud.server_classes().size());
 
-  // Candidate servers in cluster order — the row order of the exact DP.
-  // All scratch here is thread_local: the allocator probes tens of
-  // thousands of insertions per run and these buffers dominated the
-  // allocator's heap traffic. Each call fully (re)initializes what it
-  // reads, so reuse is invisible to results.
+  // Candidate servers in cluster order — the row order of the DP: in the
+  // cluster, not excluded, active when required, enough free disk (eq. 8),
+  // and room for one quantum. All scratch here is thread_local: the
+  // allocator probes tens of thousands of insertions per run and these
+  // buffers dominated the allocator's heap traffic. Each call fully
+  // (re)initializes what it reads, so reuse is invisible to results.
   const auto& cluster_servers = cloud.cluster(k).servers;
   thread_local std::vector<ServerId> cands;
   cands.clear();
   cands.reserve(cluster_servers.size());
+  // The view batches the disk test over the whole cluster in one sweep
+  // (SIMD, see ResidualView::screen_free_disk): the same comparison, so
+  // the candidate list cannot differ from the scalar test's.
+  thread_local std::vector<std::uint8_t> disk_ok;
   bool screened = false;
-  if constexpr (std::is_same_v<State, ResidualView>) {
-    // Batched eq.-8 disk screen (SIMD, see ResidualView::screen_free_disk):
-    // the free-disk comparison for the whole cluster in one sweep; the
-    // remaining filter tests are branch-only. Same test, same order of
-    // servers — the candidate list cannot differ from the scalar build.
-    thread_local std::vector<std::uint8_t> disk_ok;
-    if (state.screen_free_disk(k, c.disk, kEps, disk_ok)) {
-      screened = true;
-      for (std::size_t idx = 0; idx < cluster_servers.size(); ++idx) {
-        const ServerId j = cluster_servers[idx];
-        if (disk_ok[idx] == 0) continue;
-        if (j == constraints.exclude) continue;
-        if (!constraints.allow_inactive && !state.active(j)) continue;
-        if (!fits_one_quantum(state, j, p, scratch)) continue;
-        cands.push_back(j);
-      }
-    }
-  }
-  if (!screened) {
-    for (ServerId j : cluster_servers)
-      if (candidate_ok(state, j, p, constraints, scratch)) cands.push_back(j);
+  if constexpr (std::is_same_v<State, ResidualView>)
+    screened = state.screen_free_disk(k, c.disk, kEps, disk_ok);
+  for (std::size_t idx = 0; idx < cluster_servers.size(); ++idx) {
+    const ServerId j = cluster_servers[idx];
+    if (screened ? disk_ok[idx] == 0 : state.free_disk(j) + kEps < c.disk)
+      continue;
+    if (j == constraints.exclude) continue;
+    if (!constraints.allow_inactive && !state.active(j)) continue;
+    if (!fits_one_quantum(state, j, p, scratch)) continue;
+    cands.push_back(j);
   }
   if (cands.empty()) return std::nullopt;
+  if (stats != nullptr) ++stats->full_solves;
 
   thread_local std::vector<std::vector<SliceOption>> options;
   thread_local std::vector<std::vector<double>> scores;
-
-  // Per-cluster attempt throttle for the pruned path: a failed
-  // certification means the pruned DP was wasted work on top of the full
-  // scan, and failure is sticky (it tracks how loaded and residual-diverse
-  // the cluster currently is, which single moves barely change). After a
-  // fallback the next 2^streak attempts on that cluster go straight to
-  // the exact scan; a certified attempt resets the streak. This state is
-  // invisible in results — the certified pruned solve and the full scan
-  // return identical plans by construction — it only trades probe cost.
-  thread_local std::vector<int> prune_skip, prune_streak;
-  const int topk = opts.candidate_topk;
-  if (topk > 0 && static_cast<int>(cands.size()) > topk) {
-    const std::size_t kk = k.index();
-    if (kk >= prune_skip.size()) {
-      prune_skip.resize(kk + 1, 0);
-      prune_streak.resize(kk + 1, 0);
-    }
-    if (opts.candidate_backoff && prune_skip[kk] > 0) {
-      --prune_skip[kk];
-      if (stats != nullptr) ++stats->full_solves;
-    } else {
-      // Top-K by the residual-capacity index, re-expressed in cluster
-      // order so the pruned DP tie-breaks exactly like the full scan
-      // would. A twin run (same class, activity, and bitwise free shares
-      // — twins sort adjacently, highest id first) split by the K cut can
-      // only be certified once it holds min(members, G) included twins,
-      // so the cut self-extends past K until the run's included count
-      // reaches G or the run ends: beyond G the DP can never place
-      // another quantum on the group, and certified() discharges the
-      // remaining (lower-id) twins as redundant.
-      const auto twin_key = [&](ServerId a) {
-        const auto cls =
-            static_cast<std::uint64_t>(cloud.server(a).server_class.value());
-        return std::array<std::uint64_t, 3>{
-            (cls << 1) | (state.active(a) ? 1u : 0u),
-            std::bit_cast<std::uint64_t>(state.free_phi_p(a)),
-            std::bit_cast<std::uint64_t>(state.free_phi_n(a))};
-      };
-      thread_local std::vector<ServerId> chosen;
-      chosen.clear();
-      std::array<std::uint64_t, 3> run_key{};
-      int run_included = 0;
-      // Grow the ordered prefix on demand: the walk almost always stops
-      // within a small multiple of K, so the bucketed index (see
-      // ResidualView::ordered_prefix) only materializes and sorts the top
-      // of the order instead of re-sorting the whole cluster. Prefixes are
-      // exact, so the walk visits the same servers in the same order as
-      // the historical full-order scan.
-      std::size_t want = static_cast<std::size_t>(topk) * 2 + 8;
-      const std::vector<ServerId>* prefix = &state.ordered_prefix(k, want);
-      for (std::size_t pi = 0;; ++pi) {
-        if (pi >= prefix->size()) {
-          if (prefix->size() >= cluster_servers.size()) break;
-          want = std::max(want * 2, prefix->size() + 1);
-          prefix = &state.ordered_prefix(k, want);
-          if (pi >= prefix->size()) break;
-        }
-        const ServerId j = (*prefix)[pi];
-        if (!candidate_ok(state, j, p, constraints, scratch)) continue;
-        const auto key = twin_key(j);
-        const bool same_run = !chosen.empty() && key == run_key;
-        if (static_cast<int>(chosen.size()) >= topk &&
-            (!same_run || run_included >= G))
-          break;
-        if (!same_run) {
-          run_key = key;
-          run_included = 0;
-        }
-        ++run_included;
-        chosen.push_back(j);
-      }
-      thread_local std::vector<ServerId> pruned;
-      pruned.clear();
-      for (ServerId j : cands)
-        if (std::find(chosen.begin(), chosen.end(), j) != chosen.end())
-          pruned.push_back(j);
-      if (stats != nullptr) stats->last_pruned_set = pruned;
-
-      score_rows(state, p, pruned, options, scores, scratch);
-      const auto dp = opt::dp_distribute(scores, G);
-      if (dp && certified(state, p, cands, pruned, *dp)) {
-        if (stats != nullptr) ++stats->pruned_solves;
-        prune_streak[kk] /= 2;  // decay, not reset: mid-load clusters
-                                // oscillate near the certification edge
-        return build_plan(c, cloud, i, k, G, pruned, options, *dp);
-      }
-      // Uncertified (or the pruned set alone cannot host the client): pay
-      // for the exact scan. The pruned attempt is wasted work, so K trades
-      // prune rate against fallback cost.
-      if (stats != nullptr) ++stats->exact_fallbacks;
-      prune_streak[kk] = std::min(prune_streak[kk] + 1, 14);
-      prune_skip[kk] = 1 << prune_streak[kk];
-    }
-  } else if (stats != nullptr) {
-    ++stats->full_solves;
-  }
-
   score_rows(state, p, cands, options, scores, scratch);
   const auto dp = opt::dp_distribute(scores, G);
   if (!dp) return std::nullopt;

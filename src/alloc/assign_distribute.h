@@ -20,17 +20,9 @@
 // and a dynamic program combines servers under sum_j g_j = G. Servers
 // without enough free disk for m_i are excluded up front (eq. 8), and so
 // are servers whose free shares cannot hold the stability floor (eq. 7) of
-// even one quantum: their rows could not take part in any split.
-//
-// Candidate pruning (AllocatorOptions::candidate_topk): instead of scoring
-// every feasible server, the evaluator first solves the DP over the top-K
-// servers of the cluster's insertion-candidate index (residual processing
-// rate descending — see Allocation::insertion_candidates). The pruned
-// result is accepted only when a per-quantum optimistic bound proves no
-// excluded server could participate in any split that matches or beats it
-// (strict margin), in which case the full scan would return the identical
-// plan; otherwise the evaluator falls back to the exact full scan. Pruning
-// is therefore a pure speedup: results are bit-identical with it on or off.
+// even one quantum: their rows could not take part in any split. Every
+// other server of the cluster is scored — rows with equal inputs once —
+// and enters the DP, so the plan is exact for the grid.
 //
 // Both the full Allocation and the flat ResidualView (model/residual.h)
 // satisfy the state interface, so speculative probes can run against a
@@ -64,16 +56,13 @@ struct InsertionPlan {
   double score = 0.0;
 };
 
-/// Optional instrumentation of the candidate-pruning machinery; counters
-/// accumulate across calls. Tests use it to assert the top-K set kept the
-/// true argmax server (or that the exact fallback fired); the bench uses
-/// it to report prune rates.
+/// Probe counters, accumulated across calls. Every probe with at least
+/// one candidate server counts in full_solves; the other two counters
+/// stay 0 (they remain because the benchmark reports them).
 struct InsertionStats {
-  int pruned_solves = 0;     ///< certified top-K solves (no full scan)
-  int exact_fallbacks = 0;   ///< top-K attempted but certification failed
-  int full_solves = 0;       ///< solved exactly without attempting top-K
-  /// Pruned candidate set of the most recent top-K attempt.
-  std::vector<model::ServerId> last_pruned_set;
+  int pruned_solves = 0;
+  int exact_fallbacks = 0;
+  int full_solves = 0;  ///< probes that scored their candidate rows
 };
 
 /// Evaluates the best insertion of (currently unassigned) client i into

@@ -15,32 +15,6 @@ struct AllocatorOptions {
   /// Granularity G of the psi grid in Assign_Distribute's DP.
   int psi_grid = 10;
 
-  /// Assign_Distribute first solves its DP over only the top-K servers of
-  /// the cluster's insertion-candidate index and keeps that result when a
-  /// score bound certifies no excluded server could participate in (or
-  /// tie) an optimal split; otherwise it falls back to the exact full
-  /// scan. Results are bit-identical either way — this knob only trades
-  /// probe cost against fallback rate. Excluded servers that are bitwise
-  /// twins of included ones (same class, activity, and free shares) are
-  /// certified redundant by construction, so clusters of same-class
-  /// servers with tied residuals — the common case — prune cleanly. The
-  /// selection also self-extends past K to close a twin run split by the
-  /// cut, and a per-cluster backoff stops attempting where certification
-  /// keeps failing, so the default can sit right at the certification
-  /// floor: an optimal split uses at most min(m, G) servers, so K = G
-  /// (the psi grid) is the smallest set twin certification can ever
-  /// endorse. <= 0 disables pruning and always runs the full scan.
-  int candidate_topk = 10;
-
-  /// Per-cluster backoff on the pruned path: after a failed
-  /// certification the next 2^streak insertions on that cluster skip the
-  /// pruned attempt and go straight to the exact scan (failure tracks how
-  /// residual-diverse the cluster currently is, which single moves barely
-  /// change). Plans are identical either way — this only trades probe
-  /// cost. Off = attempt the pruned solve on every eligible insertion
-  /// (deterministic attempt accounting, used by the pruning tests).
-  bool candidate_backoff = true;
-
   /// Required absolute service-rate slack (requests/s) per M/M/1 queue so
   /// allocations stay strictly stable (the paper's "small positive" floor
   /// of constraint (7)).

@@ -1,25 +1,27 @@
 // ViewScratchPool: reusable ResidualView scratch copies for the snapshot
-// fan-outs (sharded pricing, snapshot reassign).
+// reassign fan-out, whose chunks speculate (remove a client, price its
+// moves, restore) and so each need a private copy of the frozen view.
+// Fan-outs that only read — sharded block pricing — probe the frozen view
+// itself and lease nothing.
 //
 // The dominant allocation traffic at 100k clients used to be the per-chunk
 // `ResidualView scratch = frozen;` copy: reassign_pass_snapshot prices in
-// chunks of 16 clients, which meant ~n/16 full copies of thirteen
+// chunks of 16 clients, which meant ~n/16 full copies of ten
 // server-length arrays per pass. The pool replaces that with a small set
 // of long-lived slots, each refreshed at most once per frozen snapshot:
 //
-//   - Every settle point (once per block / per pass) draws a fresh stamp.
+//   - Every settle point (once per pass) draws a fresh stamp.
 //   - acquire() hands out a free slot. If the slot's stamp matches, its
 //     contents are already bitwise-equal to `frozen` — chunks mutate the
 //     scratch only via remove/restore pairs, and restore is bitwise-exact
 //     — so no copy happens at all. On mismatch the slot is refreshed via
-//     ResidualView::operator=, which keeps vector capacity (including the
-//     candidate-index bucket vectors), so steady state allocates nothing.
+//     ResidualView::operator=, which keeps vector capacity, so steady
+//     state allocates nothing.
 //
 // Determinism: plans are pure functions of the frozen snapshot's residual
-// values (the lazy candidate index caches ordering work, never answers —
-// see residual.h), and every slot holds a bitwise-equal copy of the same
-// snapshot, so WHICH slot a chunk gets — and whether it was recycled —
-// cannot change a single plan bit at any worker count.
+// values, and every slot holds a bitwise-equal copy of the same snapshot,
+// so WHICH slot a chunk gets — and whether it was recycled — cannot
+// change a single plan bit at any worker count.
 //
 // Exception safety: a throw mid-probe can leave a lease's scratch between
 // a remove and its restore. The lease detects unwinding and poisons the

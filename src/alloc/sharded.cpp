@@ -6,7 +6,6 @@
 
 #include "alloc/assign_distribute.h"
 #include "alloc/move_engine.h"
-#include "alloc/scratch.h"
 #include "common/check.h"
 #include "common/prof.h"
 #include "model/alloc_state.h"
@@ -23,8 +22,8 @@ namespace {
 /// Clients priced per frozen snapshot. Fixed (never derived from the shard
 /// or worker count) so the block partition — and with it every snapshot a
 /// plan is priced against — is a pure function of the client order. Larger
-/// blocks amortize the per-shard snapshot copy over more probes but price
-/// staler, which costs sequential re-price fallbacks at merge time.
+/// blocks give the shards more probes per freeze but price staler, which
+/// costs sequential re-price fallbacks at merge time.
 constexpr int kBlock = 1024;
 
 }  // namespace
@@ -45,28 +44,22 @@ Allocation sharded_greedy_insert(const Allocation& base,
   for (int b0 = 0; b0 < n; b0 += kBlock) {
     const int len = std::min(kBlock, n - b0);
 
-    // Freeze: settle the engine so the snapshot reads are pure, then price
-    // the whole block against it. Each shard leases a pooled scratch view
-    // refreshed to this block's snapshot (never shared between concurrent
-    // shards, so the lazy candidate index stays private); every plan is a
-    // pure function of the snapshot values, so neither the shard grain
-    // nor the scheduling can change a single plan bit.
+    // Freeze: settle the engine, then price the whole block against its
+    // view. Every shard reads the one frozen view (its const reads are
+    // pure), and every plan is a pure function of the snapshot values, so
+    // neither the shard grain nor the scheduling can change a plan bit.
     {
       PROF_ZONE("sharded.price_block");
       profit_now = state.profit();
       CHECK(state.ledger().profit_settled());
       const ResidualView& frozen = state.view();
-      const std::uint64_t stamp = ViewScratchPool::next_stamp();
       plans.assign(static_cast<std::size_t>(len), std::nullopt);
       const int grain = (len + shards - 1) / shards;
       eval.for_chunks(len, grain, [&](int begin, int end) {
-        ViewScratchPool::Lease lease =
-            ViewScratchPool::instance().acquire(frozen, stamp);
-        const ResidualView& scratch = lease.view();
         for (int idx = begin; idx < end; ++idx) {
           const ClientId i = order[static_cast<std::size_t>(b0 + idx)];
           plans[static_cast<std::size_t>(idx)] =
-              best_insertion(scratch, i, opts);
+              best_insertion(frozen, i, opts);
         }
       });
     }

@@ -5,8 +5,8 @@
 // inherently serial. This variant trades a bounded amount of pricing
 // staleness for parallelism: clients are consumed in fixed-size blocks,
 // every client in a block is priced with best_insertion against a FROZEN
-// ResidualView snapshot of the block start (the shards — each shard
-// copies the flat snapshot and probes its slice of the block on
+// ResidualView snapshot of the block start (the shards — each probes its
+// slice of the block against that one shared view on
 // dist::ParallelEval), and the resulting plans are then merged
 // sequentially in block order through MoveEngine: a capacity revalidation
 // (fits) against the live engine, a live re-price when the snapshot plan

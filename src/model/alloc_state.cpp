@@ -62,8 +62,6 @@ void AllocState::save(ClusterId k) {
   }
   sp.profit_total = ledger_.profit_total_;
   sp.repairs = ledger_.repairs_;
-  sp.cand_order = ledger_.cand_order_[k];
-  sp.cand_dirty = ledger_.cand_dirty_[k];
 }
 
 void AllocState::rollback() {
@@ -88,8 +86,6 @@ void AllocState::rollback() {
   }
   ledger_.profit_total_ = sp.profit_total;
   ledger_.repairs_ = sp.repairs;
-  std::swap(ledger_.cand_order_[sp.cluster], sp.cand_order);
-  ledger_.cand_dirty_[sp.cluster] = sp.cand_dirty;
   for (ServerId j : servers) view_.resync_server(ledger_, j);
 }
 

@@ -27,12 +27,11 @@
 //     committed one is the in-place mutation itself.
 //   - checkpoint()/materialize(): best-so-far tracking. A Checkpoint is
 //     placements + the tracked profit scalar only — no caches, no
-//     aggregates, no candidate orders — and materialize() rebuilds a
-//     plain Allocation from it at report/serialize boundaries. The
-//     materialized allocation's incrementally-derived aggregates may
-//     differ from the historical state by ulps (summation order), which
-//     is why the profit REPORTED for a checkpoint is the carried scalar,
-//     not a re-evaluation.
+//     aggregates — and materialize() rebuilds a plain Allocation from it
+//     at report/serialize boundaries. The materialized allocation's
+//     incrementally-derived aggregates may differ from the historical
+//     state by ulps (summation order), which is why the profit REPORTED
+//     for a checkpoint is the carried scalar, not a re-evaluation.
 //
 // Invariant contract: aggregates_consistent() revalidates the engine
 // against a from-scratch recomputation — ledger aggregates within a
@@ -97,18 +96,17 @@ class AllocState {
 
   /// Opens a savepoint over cluster k. It takes bitwise pre-images of k's
   /// server records (aggregates with hosted-client order, cost cache), of
-  /// every client hosted in k (cluster, placements, revenue cache), of the
-  /// profit scalars and of k's candidate order. The ledger must be settled
-  /// (call profit() first), so the dirty lists are empty. Savepoints nest,
-  /// all over the same cluster. While one is open, assign() and clear()
-  /// may touch only clients that were in k when the innermost savepoint
-  /// opened, and assign() may only target k; both CHECK it.
+  /// every client hosted in k (cluster, placements, revenue cache) and of
+  /// the profit scalars. The ledger must be settled (call profit() first),
+  /// so the dirty lists are empty. Savepoints nest, all over the same
+  /// cluster. While one is open, assign() and clear() may touch only
+  /// clients that were in k when the innermost savepoint opened, and
+  /// assign() may only target k; both CHECK it.
   void save(ClusterId k);
 
   /// Writes the innermost savepoint's pre-images back verbatim and closes
   /// it: the ledger is bitwise what it was at save(k). The view mirrors
-  /// the ledger, so k's view entries are resynced from the restored
-  /// records (which also marks their index entries dirty).
+  /// the ledger, so k's view entries are resynced from the restored records.
   void rollback();
 
   /// Keeps the current state and closes the innermost savepoint.
@@ -117,7 +115,7 @@ class AllocState {
   // --- placement checkpoints (best-so-far tracking) ----------------------
 
   /// Placements plus the tracked profit scalar; far cheaper than an
-  /// Allocation clone (no caches, no per-server lists, no index).
+  /// Allocation clone (no caches, no per-server lists).
   struct Checkpoint {
     std::vector<ClusterId> cluster_of;
     std::vector<std::vector<Placement>> placements;
@@ -170,8 +168,6 @@ class AllocState {
     std::vector<SavedClient> clients;            ///< ascending by id
     double profit_total = 0.0;
     std::size_t repairs = 0;
-    std::vector<ServerId> cand_order;
-    bool cand_dirty = false;
   };
 
   /// CHECKs that an open savepoint covers a mutation of client i.

@@ -21,10 +21,6 @@ struct ServerClass {
   double cap_m = 1.0;        ///< local disk capacity Cm
   double cost_fixed = 0.0;   ///< P0, paid while the server is ON
   double cost_per_util = 0.0;///< P1, times processing utilization in [0,1]
-
-  /// Energy price of one unit of delivered processing rate (P1 / Cp) —
-  /// the cost tie-break key of the insertion-candidate index.
-  double marginal_cost() const { return cost_per_util / cap_p; }
 };
 
 /// Resources on a server already committed before this decision epoch

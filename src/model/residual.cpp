@@ -1,7 +1,5 @@
 #include "model/residual.h"
 
-#include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -90,8 +88,6 @@ ResidualView::ResidualView(const Allocation& alloc) : cloud_(alloc.cloud_) {
   bg_disk_.resize(num_servers);
   cap_m_.resize(num_servers);
   keeps_on_.resize(num_servers);
-  cap_p_.resize(num_servers);
-  marg_.resize(num_servers);
   for (ServerId j : cloud_->server_ids()) {
     const Allocation::ServerAgg& agg = alloc.server_[j];
     used_p_[j] = agg.phi_p;
@@ -105,9 +101,6 @@ ResidualView::ResidualView(const Allocation& alloc) : cloud_(alloc.cloud_) {
     bg_disk_[j] = bg.disk;
     cap_m_[j] = cloud_->server_class_of(j).cap_m;
     keeps_on_[j] = bg.keeps_on ? 1 : 0;
-    const ServerClass& sc = cloud_->server_class_of(j);
-    cap_p_[j] = sc.cap_p;
-    marg_[j] = sc.marginal_cost();
   }
   const auto num_clusters = static_cast<std::size_t>(cloud_->num_clusters());
   contig_base_.resize(num_clusters);
@@ -123,191 +116,6 @@ ResidualView::ResidualView(const Allocation& alloc) : cloud_(alloc.cloud_) {
     }
     contig_base_[k] = base;
   }
-  index_.resize(num_clusters);
-  bucket_of_.assign(num_servers, 0);
-  dirty_flag_.assign(num_servers, 0);
-  // Settle the allocation's own candidate index so later concurrent reads
-  // of the frozen `alloc` are pure (the view builds its own index lazily
-  // from its — currently bitwise-equal — residual state).
-  for (ClusterId k : cloud_->cluster_ids()) {
-    (void)alloc.insertion_candidates(k);
-  }
-}
-
-ResidualView::ResidualView(const ResidualView& other)
-    : cloud_(other.cloud_),
-      used_p_(other.used_p_),
-      used_n_(other.used_n_),
-      used_disk_(other.used_disk_),
-      load_p_(other.load_p_),
-      hosted_(other.hosted_),
-      bg_p_(other.bg_p_),
-      bg_n_(other.bg_n_),
-      bg_disk_(other.bg_disk_),
-      cap_m_(other.cap_m_),
-      keeps_on_(other.keeps_on_),
-      cap_p_(other.cap_p_),
-      marg_(other.marg_),
-      contig_base_(other.contig_base_),
-      index_(other.index_.size()),
-      bucket_of_(other.bucket_of_.size(), 0),
-      dirty_flag_(other.dirty_flag_.size(), 0) {}
-
-ResidualView& ResidualView::operator=(const ResidualView& other) {
-  if (this == &other) return *this;
-  cloud_ = other.cloud_;
-  used_p_ = other.used_p_;
-  used_n_ = other.used_n_;
-  used_disk_ = other.used_disk_;
-  load_p_ = other.load_p_;
-  hosted_ = other.hosted_;
-  bg_p_ = other.bg_p_;
-  bg_n_ = other.bg_n_;
-  bg_disk_ = other.bg_disk_;
-  cap_m_ = other.cap_m_;
-  keeps_on_ = other.keeps_on_;
-  cap_p_ = other.cap_p_;
-  marg_ = other.marg_;
-  contig_base_ = other.contig_base_;
-  // Drop, don't copy, the index: rebuilt lazily (see the header). Reset in
-  // place rather than assign() so a reused scratch view keeps its bucket
-  // vector capacity across refreshes — build_index then allocates nothing.
-  index_.resize(other.index_.size());
-  for (ClusterIndex& ix : index_) {
-    ix.built = false;
-    ix.unsorted = 0;
-    for (auto& bucket : ix.buckets) bucket.clear();
-    ix.prefix.clear();
-    ix.prefix_buckets = 0;
-    ix.dirty.clear();
-    ix.inv_scale = 0.0;
-  }
-  bucket_of_.assign(other.bucket_of_.size(), 0);
-  dirty_flag_.assign(other.dirty_flag_.size(), 0);
-  return *this;
-}
-
-int ResidualView::bucket_for(ServerId j, const ClusterIndex& ix) const {
-  const double t = (free_phi_p(j) * cap_p_[j]) * ix.inv_scale;
-  // Truncate-and-clamp quantization. Monotone in the rate (a larger rate
-  // never quantizes lower), so bucket order respects rate order and equal
-  // rates always share a bucket — the exactness precondition.
-  int q = 0;
-  if (t >= static_cast<double>(kNumBuckets - 1)) {
-    q = kNumBuckets - 1;
-  } else if (t > 0.0) {
-    q = static_cast<int>(t);
-  }
-  return kNumBuckets - 1 - q;  // bucket 0 holds the largest rates
-}
-
-void ResidualView::build_index(ClusterId k) const {
-  ClusterIndex& ix = index_[k];
-  const auto& servers = cloud_->cluster(k).servers;
-  double max_rate = 0.0;
-  for (ServerId j : servers) max_rate = std::max(max_rate, cap_p_[j]);
-  // free_phi_p <= 1, so cap_p bounds every possible rate: the scale is a
-  // per-cluster constant and never needs recomputing as shares move.
-  ix.inv_scale =
-      max_rate > 0.0 ? static_cast<double>(kNumBuckets) / max_rate : 0.0;
-  for (auto& bucket : ix.buckets) bucket.clear();
-  for (ServerId j : servers) {
-    const int b = bucket_for(j, ix);
-    bucket_of_[j] = static_cast<std::int8_t>(b);
-    dirty_flag_[j] = 0;
-    ix.buckets[static_cast<std::size_t>(b)].push_back(j);
-  }
-  ix.unsorted = (1u << kNumBuckets) - 1u;
-  ix.prefix.clear();
-  ix.prefix_buckets = 0;
-  ix.dirty.clear();
-  ix.built = true;
-}
-
-void ResidualView::flush_dirty(ClusterId k) const {
-  ClusterIndex& ix = index_[k];
-  if (ix.dirty.empty()) return;
-  int lowest = kNumBuckets;
-  for (ServerId j : ix.dirty) {
-    dirty_flag_[j] = 0;
-    const int ob = bucket_of_[j];
-    const int nb = bucket_for(j, ix);
-    if (nb != ob) {
-      auto& old_bucket = ix.buckets[static_cast<std::size_t>(ob)];
-      // Swap-pop: pre-sort bucket contents are order-free, and the bucket
-      // is marked unsorted below.
-      auto it = std::find(old_bucket.begin(), old_bucket.end(), j);
-      CHECK(it != old_bucket.end());
-      *it = old_bucket.back();
-      old_bucket.pop_back();
-      ix.buckets[static_cast<std::size_t>(nb)].push_back(j);
-      bucket_of_[j] = static_cast<std::int8_t>(nb);
-      ix.unsorted |= (1u << ob) | (1u << nb);
-      lowest = std::min(lowest, std::min(ob, nb));
-    } else {
-      ix.unsorted |= 1u << ob;
-      lowest = std::min(lowest, ob);
-    }
-  }
-  ix.dirty.clear();
-  if (lowest < ix.prefix_buckets) {
-    ix.prefix.clear();
-    ix.prefix_buckets = 0;
-  }
-}
-
-const std::vector<ServerId>& ResidualView::ordered_prefix(ClusterId k,
-                                                          std::size_t n) const {
-  CHECK(k.valid() && k.value() < cloud_->num_clusters());
-  ClusterIndex& ix = index_[k];
-  if (!ix.built) {
-    build_index(k);
-  } else {
-    flush_dirty(k);
-  }
-  const auto& servers = cloud_->cluster(k).servers;
-  const std::size_t target = std::min(n, servers.size());
-  while (ix.prefix.size() < target && ix.prefix_buckets < kNumBuckets) {
-    const int b = ix.prefix_buckets;
-    auto& bucket = ix.buckets[static_cast<std::size_t>(b)];
-    if ((ix.unsorted >> b) & 1u) {
-      if (bucket.size() > 1) {
-        // Bitwise the same keys and ordering as Allocation's full rebuild;
-        // concatenating buckets sorted this way reproduces the exact full
-        // order (see ClusterIndex). Decorate-sort as there: keys once per
-        // server, not once per comparison.
-        struct CandKey {
-          double rate;
-          double marg;
-          ServerId id;
-        };
-        thread_local std::vector<CandKey> keys;
-        keys.clear();
-        keys.reserve(bucket.size());
-        for (ServerId j : bucket) {
-          keys.push_back(CandKey{free_phi_p(j) * cap_p_[j], marg_[j], j});
-        }
-        std::sort(keys.begin(), keys.end(),
-                  [](const CandKey& a, const CandKey& b2) {
-                    if (a.rate != b2.rate) return a.rate > b2.rate;
-                    if (a.marg != b2.marg) return a.marg < b2.marg;
-                    return a.id > b2.id;  // id DESC — see Allocation
-                  });
-        for (std::size_t idx = 0; idx < bucket.size(); ++idx) {
-          bucket[idx] = keys[idx].id;
-        }
-      }
-      ix.unsorted &= ~(1u << b);
-    }
-    ix.prefix.insert(ix.prefix.end(), bucket.begin(), bucket.end());
-    ++ix.prefix_buckets;
-  }
-  return ix.prefix;
-}
-
-const std::vector<ServerId>& ResidualView::insertion_candidates(
-    ClusterId k) const {
-  return ordered_prefix(k, cloud_->cluster(k).servers.size());
 }
 
 bool ResidualView::screen_free_disk(ClusterId k, double need, double eps,
@@ -327,16 +135,6 @@ bool ResidualView::screen_free_disk(ClusterId k, double need, double eps,
     ok[idx] = (free_buf[idx] + eps < need) ? 0 : 1;
   }
   return true;
-}
-
-void ResidualView::mark_server_dirty(ServerId j) {
-  const ClusterId k = cloud_->server(j).cluster;
-  ClusterIndex& ix = index_[k];
-  if (!ix.built) return;  // nothing cached; the lazy build sees fresh state
-  if (!dirty_flag_[j]) {
-    dirty_flag_[j] = 1;
-    ix.dirty.push_back(j);
-  }
 }
 
 void ResidualView::record(const std::vector<Placement>& ps,
@@ -368,7 +166,6 @@ void ResidualView::remove_client(ClientId i, const std::vector<Placement>& ps,
       used_p_[p.server] = used_n_[p.server] = used_disk_[p.server] =
           load_p_[p.server] = 0.0;
     }
-    mark_server_dirty(p.server);
   }
 }
 
@@ -382,7 +179,6 @@ void ResidualView::add_client(ClientId i, const std::vector<Placement>& ps,
     used_disk_[p.server] += c.disk;
     load_p_[p.server] += p.psi * c.lambda_pred * c.alpha_p;
     ++hosted_[p.server];
-    mark_server_dirty(p.server);
   }
 }
 
@@ -393,7 +189,6 @@ void ResidualView::resync_server(const Allocation& alloc, ServerId j) {
   used_disk_[j] = agg.disk;
   load_p_[j] = agg.load_p;
   hosted_[j] = static_cast<int>(agg.clients.size());
-  mark_server_dirty(j);
 }
 
 void ResidualView::restore(const Undo& undo) {
@@ -403,7 +198,6 @@ void ResidualView::restore(const Undo& undo) {
     used_disk_[e.server] = e.used_disk;
     load_p_[e.server] = e.load_p;
     hosted_[e.server] = e.hosted;
-    mark_server_dirty(e.server);
   }
 }
 

@@ -17,19 +17,11 @@
 // not). The reassignment passes lean on this to probe hundreds of clients
 // against one shared view copy without accumulating drift.
 //
-// Candidate index: each cluster carries a hierarchical (bucketed) residual
-// index over its servers, ordered by the exact insertion-candidate
-// comparator (rate = free_phi_p * cap_p DESC, marginal cost ASC, id DESC —
-// the same keys as Allocation::insertion_candidates). Servers hash into
-// rate buckets; a query materializes an exactly-ordered prefix by sorting
-// only the buckets it actually consumes, and a mutation re-buckets only
-// the touched servers — so maintaining and querying the top of the order
-// stays sub-linear in the cluster's server count instead of re-sorting
-// the whole cluster after every move. ordered_prefix() is the primary
-// query; insertion_candidates() is the full-order special case.
+// Concurrency: every const member is a pure read (the view has no lazy
+// caches), so one frozen view may be probed from many threads at once;
+// a thread that speculates mutates its own copy.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -39,21 +31,13 @@ namespace cloudalloc::model {
 
 class ResidualView {
  public:
-  /// Captures the allocation's current server aggregates and settles its
-  /// per-cluster insertion-candidate orders (parallel phases snapshot an
-  /// Allocation and then probe it concurrently; settling here keeps those
-  /// reads pure). The view does not observe later mutations of `alloc`;
-  /// callers keep it in sync via add_client/remove_client or rebuild it.
+  /// Captures the allocation's current server aggregates. The view does
+  /// not observe later mutations of `alloc`; callers keep it in sync via
+  /// add_client/remove_client or rebuild it.
   explicit ResidualView(const Allocation& alloc);
 
-  /// Copies the residual arrays but NOT the candidate index: the copy
-  /// starts with an empty (lazily rebuilt) index. Scratch copies in the
-  /// snapshot phases touch a handful of clusters each, and rebuilding
-  /// those on demand is far cheaper than cloning every cluster's bucket
-  /// structure — and a freshly built index produces the exact same order
-  /// as an incrementally maintained one, so results cannot differ.
-  ResidualView(const ResidualView& other);
-  ResidualView& operator=(const ResidualView& other);
+  ResidualView(const ResidualView&) = default;
+  ResidualView& operator=(const ResidualView&) = default;
   ResidualView(ResidualView&&) = default;
   ResidualView& operator=(ResidualView&&) = default;
 
@@ -76,21 +60,6 @@ class ResidualView {
   }
   int hosted_clients(ServerId j) const { return hosted_[j]; }
   bool keeps_on(ServerId j) const { return keeps_on_[j] != 0; }
-
-  /// The first min(n, cluster size) servers of cluster k in the exact
-  /// insertion-candidate order (see the class comment), materialized from
-  /// the bucketed index; the returned vector may be longer than n. Like
-  /// the Allocation index this is a const-but-mutating lazy cache, so
-  /// views must not be shared across threads while probing — copy one per
-  /// worker instead. The order is advisory (pruning with an exact
-  /// fallback); staleness mid-speculation costs prune quality, never
-  /// correctness.
-  const std::vector<ServerId>& ordered_prefix(ClusterId k,
-                                              std::size_t n) const;
-
-  /// Full candidate order of cluster k — ordered_prefix over the whole
-  /// cluster.
-  const std::vector<ServerId>& insertion_candidates(ClusterId k) const;
 
   /// Batched eq.-8 free-disk screen over cluster k's servers (SIMD lanes,
   /// common/simd.h): ok[idx] = free_disk(servers[idx]) + eps >= need for
@@ -143,33 +112,7 @@ class ResidualView {
  private:
   friend class AllocState;
 
-  /// Rate buckets per cluster. 16 keeps the dirty-rebucket bookkeeping in
-  /// one machine word and the per-bucket sorts a few elements deep on the
-  /// paper-sized clusters while still cutting large clusters' sorts ~16x.
-  static constexpr int kNumBuckets = 16;
-
-  /// Per-cluster bucketed candidate index. Buckets partition the servers
-  /// by quantized rate key (monotone: a strictly larger rate never lands
-  /// in a later bucket, and equal rates always share a bucket), so
-  /// concatenating the buckets in order, each sorted by the exact
-  /// comparator, reproduces the exact full order. `prefix` caches the
-  /// materialized front; `dirty` holds servers whose rate changed since
-  /// they were bucketed.
-  struct ClusterIndex {
-    bool built = false;
-    std::uint32_t unsorted = 0;  ///< bit b: buckets[b] needs sorting
-    std::array<std::vector<ServerId>, kNumBuckets> buckets;
-    std::vector<ServerId> prefix;
-    int prefix_buckets = 0;  ///< buckets already consumed into prefix
-    std::vector<ServerId> dirty;
-    double inv_scale = 0.0;  ///< kNumBuckets / max possible rate
-  };
-
   void record(const std::vector<Placement>& ps, Undo* undo) const;
-  void mark_server_dirty(ServerId j);
-  int bucket_for(ServerId j, const ClusterIndex& ix) const;
-  void build_index(ClusterId k) const;
-  void flush_dirty(ClusterId k) const;
 
   const Cloud* cloud_;
   // Mutable residual state (client-only aggregates, background excluded —
@@ -179,14 +122,8 @@ class ResidualView {
   // Immutable per-server constants, flattened for locality.
   IdVector<ServerId, double> bg_p_, bg_n_, bg_disk_, cap_m_;
   IdVector<ServerId, std::uint8_t> keeps_on_;
-  // Immutable per-server sort-key constants (class capacity and marginal
-  // cost) and per-cluster contiguous-range bases (first server id, or -1).
-  IdVector<ServerId, double> cap_p_, marg_;
+  // Per-cluster contiguous-range bases (first server id, or -1).
   IdVector<ClusterId, int> contig_base_;
-  // Lazy hierarchical candidate index (see ordered_prefix).
-  mutable IdVector<ClusterId, ClusterIndex> index_;
-  mutable IdVector<ServerId, std::int8_t> bucket_of_;
-  mutable IdVector<ServerId, std::uint8_t> dirty_flag_;
 };
 
 }  // namespace cloudalloc::model

@@ -71,7 +71,6 @@ std::optional<DpResult> dp_distribute(
 
   DpResult out;
   out.score = best[static_cast<std::size_t>(G)];
-  out.totals = best;
   out.quanta.assign(J, 0);
   std::size_t t = static_cast<std::size_t>(G);
   for (std::size_t j = J; j-- > 0;) {

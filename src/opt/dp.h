@@ -17,12 +17,6 @@ inline constexpr double kDpInfeasible = -1e300;
 struct DpResult {
   std::vector<int> quanta;  ///< g_j per server, summing to G
   double score = 0.0;
-  /// totals[t] = best achievable score spending exactly t quanta across all
-  /// servers (kDpInfeasible when no split of t quanta is feasible);
-  /// totals[G] == score. Candidate-set pruning certifies exactness against
-  /// this array: a bound on what excluded servers could add to any
-  /// t-quanta prefix (see alloc/assign_distribute.cpp).
-  std::vector<double> totals;
 };
 
 /// `scores[j][g]` for g in [0, G] is the score of giving server j exactly g

@@ -3,7 +3,7 @@
 // from-scratch invariants, checkpoints round-trip, cluster savepoints roll
 // back bitwise and guard their cluster, corruption trips the checker, and
 // the engine-backed allocator is bit-identical at every thread count and
-// with candidate pruning on or off, and reproduces the 1k-client witness.
+// reproduces the 1k-client witness.
 #include "model/alloc_state.h"
 
 #include <bit>
@@ -159,7 +159,7 @@ bool same_bits(double a, double b) {
 }
 
 /// Field-for-field comparison: placements, hosted-client order, ledger
-/// aggregates, view accessors and candidate orders, all bitwise.
+/// aggregates and view accessors, all bitwise.
 void expect_bitwise_equal(const AllocState& a, const AllocState& b) {
   const Cloud& cloud = a.cloud();
   for (ClientId i : cloud.client_ids()) {
@@ -186,12 +186,6 @@ void expect_bitwise_equal(const AllocState& a, const AllocState& b) {
     EXPECT_TRUE(same_bits(a.view().proc_load(j), b.view().proc_load(j)));
     EXPECT_EQ(a.view().hosted_clients(j), b.view().hosted_clients(j));
     EXPECT_EQ(a.view().active(j), b.view().active(j));
-  }
-  for (ClusterId k : cloud.cluster_ids()) {
-    EXPECT_EQ(a.ledger().insertion_candidates(k),
-              b.ledger().insertion_candidates(k));
-    EXPECT_EQ(a.view().insertion_candidates(k),
-              b.view().insertion_candidates(k));
   }
 }
 
@@ -305,20 +299,6 @@ TEST(AllocState, AllocatorBitIdenticalAcrossThreadCounts) {
             << "seed=" << seed << " threads=" << threads;
     }
   }
-}
-
-TEST(AllocState, AllocatorBitIdenticalWithPruningOnAndOff) {
-  workload::ScenarioParams params;
-  params.num_clients = 40;
-  params.servers_per_cluster = 10;
-  const auto cloud = workload::make_scenario(params, 23);
-
-  alloc::AllocatorOptions pruned;  // default: candidate_topk on
-  alloc::AllocatorOptions exact;
-  exact.candidate_topk = 0;
-  const auto a = alloc::ResourceAllocator(pruned).run(cloud);
-  const auto b = alloc::ResourceAllocator(exact).run(cloud);
-  EXPECT_EQ(a.report.final_profit, b.report.final_profit);
 }
 
 // The 1k-client profit witness (tab_alloc_scale's configuration), pinned

@@ -345,40 +345,31 @@ struct LaneWidthRestorer {
   }
 };
 
-/// Probes client i on every cluster of `alloc` through both overloads,
-/// with pruning on (the default) and off, at every lane width, and
-/// compares each plan with the reference bit for bit. Every third client
-/// may only use active servers and every fourth excludes its cluster's
-/// first server, so the constraint filters are covered too.
-void check_client(const Allocation& alloc, ClientId i, ShortcutCounts& counts,
-                  InsertionStats& pruning) {
+/// Probes client i on every cluster of `alloc` through both overloads at
+/// every lane width, and compares each plan with the reference bit for
+/// bit. Every third client may only use active servers and every fourth
+/// excludes its cluster's first server, so the constraint filters are
+/// covered too.
+void check_client(const Allocation& alloc, ClientId i, ShortcutCounts& counts) {
   model::profit(alloc);  // settle caches before snapshotting
   const model::ResidualView view(alloc);
-  AllocatorOptions pruned;
-  AllocatorOptions exact;
-  exact.candidate_topk = 0;
+  const AllocatorOptions opts;
   const model::Cloud& cloud = alloc.cloud();
   for (ClusterId k : cloud.cluster_ids()) {
     InsertionConstraints constraints;
     constraints.allow_inactive = i.value() % 3 != 0;
     if (i.value() % 4 == 1) constraints.exclude = cloud.cluster(k).servers[0];
     const auto want =
-        reference_insertion(alloc, i, k, exact, constraints, counts);
+        reference_insertion(alloc, i, k, opts, constraints, counts);
     for (int w : lane_widths()) {
       simd::override_width_for_test(w);
       const std::string where = "client " + std::to_string(i.value()) +
                                 " cluster " + std::to_string(k.value()) +
                                 " width " + std::to_string(w);
-      expect_same_plan(assign_distribute(alloc, i, k, exact, constraints),
-                       want, where + " Allocation exact");
-      expect_same_plan(assign_distribute(view, i, k, exact, constraints), want,
-                       where + " ResidualView exact");
-      expect_same_plan(
-          assign_distribute(alloc, i, k, pruned, constraints, &pruning), want,
-          where + " Allocation pruned");
-      expect_same_plan(
-          assign_distribute(view, i, k, pruned, constraints, &pruning), want,
-          where + " ResidualView pruned");
+      expect_same_plan(assign_distribute(alloc, i, k, opts, constraints), want,
+                       where + " Allocation");
+      expect_same_plan(assign_distribute(view, i, k, opts, constraints), want,
+                       where + " ResidualView");
     }
   }
 }
@@ -397,7 +388,6 @@ Allocation half_loaded(const model::Cloud& cloud, int placed) {
 TEST(AssignDistributeReference, MatchesOnHalfLoadedScenarios) {
   LaneWidthRestorer restore;
   ShortcutCounts counts;
-  InsertionStats pruning;
   for (std::uint64_t seed : {17, 29}) {
     workload::ScenarioParams params;
     params.num_clients = 60;
@@ -405,19 +395,15 @@ TEST(AssignDistributeReference, MatchesOnHalfLoadedScenarios) {
     const model::Cloud cloud = workload::make_scenario(params, seed);
     const Allocation alloc = half_loaded(cloud, 30);
     for (int i_raw = 30; i_raw < cloud.num_clients(); ++i_raw)
-      check_client(alloc, ClientId{i_raw}, counts, pruning);
+      check_client(alloc, ClientId{i_raw}, counts);
   }
   EXPECT_GT(counts.infeasible_rows, 0);
   EXPECT_GT(counts.repeated_keys, 0);
-  EXPECT_GT(pruning.pruned_solves + pruning.exact_fallbacks, 0);
 }
 
 TEST(AssignDistributeReference, MatchesOnPackedStateWithEachClientVacated) {
-  // After the screen a packed cluster rarely has more than K candidates, so
-  // the pruned configuration mostly runs the exact scan here.
   LaneWidthRestorer restore;
   ShortcutCounts counts;
-  InsertionStats pruning;
   workload::ScenarioParams params;
   params.num_clients = 48;
   params.num_clusters = 3;
@@ -430,7 +416,7 @@ TEST(AssignDistributeReference, MatchesOnPackedStateWithEachClientVacated) {
     if (!solved.is_assigned(i)) continue;
     Allocation vacated = solved.clone();
     vacated.clear(i);
-    check_client(vacated, i, counts, pruning);
+    check_client(vacated, i, counts);
   }
   EXPECT_GT(counts.infeasible_rows, 0);
   EXPECT_GT(counts.repeated_keys, 0);
@@ -439,7 +425,6 @@ TEST(AssignDistributeReference, MatchesOnPackedStateWithEachClientVacated) {
 TEST(AssignDistributeReference, MatchesOnSingleClassTwinRichClusters) {
   LaneWidthRestorer restore;
   ShortcutCounts counts;
-  InsertionStats pruning;
   workload::ScenarioParams params;
   params.num_clients = 40;
   params.num_clusters = 2;
@@ -449,11 +434,10 @@ TEST(AssignDistributeReference, MatchesOnSingleClassTwinRichClusters) {
     const model::Cloud cloud = workload::make_scenario(params, seed);
     const Allocation alloc = half_loaded(cloud, 24);
     for (int i_raw = 24; i_raw < cloud.num_clients(); ++i_raw)
-      check_client(alloc, ClientId{i_raw}, counts, pruning);
+      check_client(alloc, ClientId{i_raw}, counts);
   }
   EXPECT_GT(counts.infeasible_rows, 0);
   EXPECT_GT(counts.repeated_keys, 0);
-  EXPECT_GT(pruning.pruned_solves, 0);
 }
 
 }  // namespace

@@ -160,132 +160,5 @@ TEST(DeltaPriceTest, ReplaceDeltaMatchesOracleAndRestoresView) {
     EXPECT_EQ(fp_before[n], fp_after[n]) << "fingerprint slot " << n;
 }
 
-TEST(DeltaPriceTest, TopKContainsArgmaxOrFallback) {
-  // With pruning on, every insertion either solves over a certified top-K
-  // set — which must then contain every server the exact optimum uses —
-  // or falls back to the exact scan.
-  AllocatorOptions exact_opts;
-  AllocatorOptions pruned_opts;
-  pruned_opts.candidate_topk = 4;
-  pruned_opts.candidate_backoff = false;  // deterministic attempt counts
-
-  workload::ScenarioParams params;
-  params.num_clients = 60;
-  const Cloud cloud = workload::make_scenario(params, 17);
-  const Allocation alloc = half_loaded(cloud, 30, exact_opts);
-  model::profit(alloc);
-
-  int attempts = 0;
-  for (int i_raw = 30; i_raw < cloud.num_clients(); ++i_raw) {
-    const ClientId i{i_raw};
-    for (ClusterId k : cloud.cluster_ids()) {
-      const auto exact = assign_distribute(alloc, i, k, exact_opts);
-      if (!exact) continue;
-
-      InsertionStats stats;
-      const auto pruned = assign_distribute(alloc, i, k, pruned_opts, {},
-                                            &stats);
-      ASSERT_TRUE(pruned.has_value());
-      ++attempts;
-      if (stats.exact_fallbacks > 0) continue;  // exact scan ran — fine
-      ASSERT_GT(stats.pruned_solves, 0);
-      for (const auto& p : exact->placements) {
-        const bool kept =
-            std::find(stats.last_pruned_set.begin(),
-                      stats.last_pruned_set.end(),
-                      p.server) != stats.last_pruned_set.end();
-        EXPECT_TRUE(kept) << "client=" << i << " cluster=" << k
-                          << " argmax server " << p.server
-                          << " missing from certified top-K set";
-      }
-    }
-  }
-  EXPECT_GT(attempts, 0);
-}
-
-TEST(DeltaPriceTest, PrunedEqualsFullScan) {
-  // Certified-or-fallback means pruning may never change the answer: same
-  // score, same placements, bit for bit.
-  AllocatorOptions exact_opts;
-  AllocatorOptions pruned_opts;
-  pruned_opts.candidate_topk = 4;
-  pruned_opts.candidate_backoff = false;  // deterministic attempt counts
-
-  for (std::uint64_t seed : {17, 29}) {
-    workload::ScenarioParams params;
-    params.num_clients = 60;
-    const Cloud cloud = workload::make_scenario(params, seed);
-    const Allocation alloc = half_loaded(cloud, 30, exact_opts);
-    model::profit(alloc);
-
-    for (int i_raw = 30; i_raw < cloud.num_clients(); ++i_raw) {
-      const ClientId i{i_raw};
-      for (ClusterId k : cloud.cluster_ids()) {
-        const auto exact = assign_distribute(alloc, i, k, exact_opts);
-        const auto pruned = assign_distribute(alloc, i, k, pruned_opts);
-        ASSERT_EQ(exact.has_value(), pruned.has_value());
-        if (!exact) continue;
-        EXPECT_EQ(exact->score, pruned->score);
-        ASSERT_EQ(exact->placements.size(), pruned->placements.size());
-        for (std::size_t n = 0; n < exact->placements.size(); ++n) {
-          EXPECT_EQ(exact->placements[n].server, pruned->placements[n].server);
-          EXPECT_EQ(exact->placements[n].psi, pruned->placements[n].psi);
-          EXPECT_EQ(exact->placements[n].phi_p, pruned->placements[n].phi_p);
-          EXPECT_EQ(exact->placements[n].phi_n, pruned->placements[n].phi_n);
-        }
-      }
-    }
-  }
-}
-
-TEST(DeltaPriceTest, TieHeavyTwinCertificationPrunesWithExclusions) {
-  // Single-class clusters with identical residuals are the worst case for
-  // a score-bound certificate (every candidate ties) and the best case
-  // for twin certification: the K cut lands inside a run of bitwise
-  // twins, the selection extends the run only up to G included members,
-  // and certified() discharges the excluded twins. The pruned solve must
-  // then actually run — real exclusions, no exact fallback — and still
-  // match the full scan bit for bit.
-  AllocatorOptions exact_opts;
-  AllocatorOptions pruned_opts;
-  pruned_opts.candidate_topk = 12;
-  pruned_opts.candidate_backoff = false;  // deterministic attempt counts
-
-  workload::ScenarioParams params;
-  params.num_clients = 24;
-  params.num_server_classes = 1;
-  params.servers_per_cluster = 14;
-  for (std::uint64_t seed : {31, 47}) {
-    const Cloud cloud = workload::make_scenario(params, seed);
-    const Allocation alloc(cloud);
-    model::profit(alloc);  // settle caches before snapshotting
-
-    int pruned_with_exclusions = 0;
-    for (ClientId i : cloud.client_ids()) {
-      for (ClusterId k : cloud.cluster_ids()) {
-        const auto exact = assign_distribute(alloc, i, k, exact_opts);
-        InsertionStats stats;
-        const auto pruned =
-            assign_distribute(alloc, i, k, pruned_opts, {}, &stats);
-        ASSERT_EQ(exact.has_value(), pruned.has_value());
-        if (!exact) continue;
-        if (stats.pruned_solves > 0 &&
-            static_cast<int>(stats.last_pruned_set.size()) <
-                params.servers_per_cluster)
-          ++pruned_with_exclusions;
-        EXPECT_EQ(exact->score, pruned->score);
-        ASSERT_EQ(exact->placements.size(), pruned->placements.size());
-        for (std::size_t n = 0; n < exact->placements.size(); ++n) {
-          EXPECT_EQ(exact->placements[n].server, pruned->placements[n].server);
-          EXPECT_EQ(exact->placements[n].psi, pruned->placements[n].psi);
-          EXPECT_EQ(exact->placements[n].phi_p, pruned->placements[n].phi_p);
-          EXPECT_EQ(exact->placements[n].phi_n, pruned->placements[n].phi_n);
-        }
-      }
-    }
-    EXPECT_GT(pruned_with_exclusions, 0) << "seed=" << seed;
-  }
-}
-
 }  // namespace
 }  // namespace cloudalloc::alloc

@@ -1,7 +1,7 @@
 // Shard-count determinism of the sharded greedy (alloc/sharded.h): every
 // plan in a block is priced against the frozen block snapshot, so the
 // resulting allocation must be bit-identical at ANY shard count and
-// thread count, with pruning on or off. Also covered: the cluster_fanout
+// thread count. Also covered: the cluster_fanout
 // probe window is a pure function of the client id, and sharded results
 // stay feasible.
 #include <cstdint>
@@ -54,9 +54,9 @@ void expect_identical(const model::Allocation& a, const model::Allocation& b) {
   }
 }
 
-// The core contract: one greedy pass, same order, shard counts 1/2/4/8,
-// pruning on and off — six runs, one allocation.
-TEST(ShardedGreedy, BitIdenticalAcrossShardCountsAndPruning) {
+// The core contract: one greedy pass, same order, shard counts 1/2/4/8 —
+// four runs, one allocation.
+TEST(ShardedGreedy, BitIdenticalAcrossShardCounts) {
   const auto cloud = make_cloud(90, 11);
   const auto order = shuffled_order(cloud, 7);
 
@@ -68,16 +68,12 @@ TEST(ShardedGreedy, BitIdenticalAcrossShardCountsAndPruning) {
   EXPECT_GT(base_profit, 0.0);
 
   for (int shards : {1, 2, 4, 8}) {
-    for (int topk : {10, 0}) {  // 0 disables candidate pruning entirely
-      AllocatorOptions opts;
-      opts.num_shards = shards;
-      opts.candidate_topk = topk;
-      const model::Allocation run =
-          sharded_greedy_insert(model::Allocation(cloud), order, opts);
-      EXPECT_DOUBLE_EQ(model::profit(run), base_profit)
-          << "shards " << shards << " topk " << topk;
-      expect_identical(base, run);
-    }
+    AllocatorOptions opts;
+    opts.num_shards = shards;
+    const model::Allocation run =
+        sharded_greedy_insert(model::Allocation(cloud), order, opts);
+    EXPECT_DOUBLE_EQ(model::profit(run), base_profit) << "shards " << shards;
+    expect_identical(base, run);
   }
 }
 

@@ -2,22 +2,20 @@
 // every kernel must produce BITWISE-identical outputs at lane widths 1, 4
 // and 8 (the kernels are pure elementwise IEEE chains compiled with
 // -ffp-contract=off), and must match the historical scalar helpers they
-// replaced operation-for-operation. Also covered: the hierarchical
-// (bucketed) candidate index reproduces the exact full candidate order
-// after arbitrary churn, and the batched free-disk screen agrees with the
-// scalar filter on every server.
+// replaced operation-for-operation. Also covered: the batched free-disk
+// screen agrees with the scalar filter on every server.
 //
 // Width sweeps use simd::override_width_for_test; on hardware without
 // AVX2/AVX-512 the override clamps down and the sweep degenerates to the
 // scalar path (trivially passing — the contract is about machines that DO
 // have the wide paths).
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -236,7 +234,7 @@ TEST(SimdKernels, OneQuantumScreenAgreesWithShareGridAtEveryWidth) {
   EXPECT_EQ(crossed, 5 * 8);
 }
 
-// --- hierarchical candidate index ---------------------------------------
+// --- batched free-disk screen ------------------------------------------
 
 model::Allocation churned_allocation(const model::Cloud& cloud,
                                      std::uint64_t seed) {
@@ -247,100 +245,7 @@ model::Allocation churned_allocation(const model::Cloud& cloud,
   return alloc::greedy_insert(model::Allocation(cloud), order, {});
 }
 
-/// Brute-force reference: the exact candidate comparator over the view's
-/// CURRENT residual state.
-std::vector<model::ServerId> ref_order(const model::ResidualView& view,
-                                       model::ClusterId k) {
-  struct Key {
-    double rate;
-    double marg;
-    model::ServerId id;
-  };
-  const auto& cloud = view.cloud();
-  std::vector<Key> keys;
-  for (model::ServerId j : cloud.cluster(k).servers) {
-    const auto& sc = cloud.server_class_of(j);
-    keys.push_back(Key{view.free_phi_p(j) * sc.cap_p, sc.marginal_cost(), j});
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.rate != b.rate) return a.rate > b.rate;
-    if (a.marg != b.marg) return a.marg < b.marg;
-    return a.id > b.id;
-  });
-  std::vector<model::ServerId> order;
-  for (const Key& key : keys) order.push_back(key.id);
-  return order;
-}
-
-TEST(HierarchicalIndex, ReproducesExactOrderAfterChurn) {
-  workload::ScenarioParams params;
-  params.num_clients = 60;
-  params.servers_per_cluster = 20;
-  const auto cloud = workload::make_scenario(params, 29);
-  const auto base = churned_allocation(cloud, 31);
-  model::ResidualView view(base);
-
-  // Fresh build matches the Allocation's settled order and the brute
-  // reference.
-  for (model::ClusterId k : cloud.cluster_ids()) {
-    EXPECT_EQ(view.insertion_candidates(k), base.insertion_candidates(k));
-    EXPECT_EQ(view.insertion_candidates(k), ref_order(view, k));
-  }
-
-  // Churn: vacate and re-add clients (dirtying servers through every
-  // mutation path), then expect the incrementally maintained index to
-  // still reproduce the exact order.
-  Rng rng(37);
-  model::ResidualView::Undo undo;
-  for (int round = 0; round < 50; ++round) {
-    const model::ClientId i{static_cast<int>(rng() % static_cast<std::uint64_t>(
-        cloud.num_clients()))};
-    if (!base.is_assigned(i)) continue;
-    view.remove_client(i, base.placements(i), &undo);
-    if (round % 3 == 0) {
-      view.restore(undo);  // exact rollback also re-dirties
-    } else {
-      view.add_client(i, base.placements(i));
-    }
-    if (round % 7 == 0) {
-      for (model::ClusterId k : cloud.cluster_ids())
-        EXPECT_EQ(view.insertion_candidates(k), ref_order(view, k))
-            << "round " << round;
-    }
-  }
-  for (model::ClusterId k : cloud.cluster_ids())
-    EXPECT_EQ(view.insertion_candidates(k), ref_order(view, k));
-}
-
-TEST(HierarchicalIndex, OrderedPrefixIsAPrefixOfTheFullOrder) {
-  workload::ScenarioParams params;
-  params.num_clients = 40;
-  params.servers_per_cluster = 25;
-  const auto cloud = workload::make_scenario(params, 47);
-  const auto base = churned_allocation(cloud, 53);
-  model::ResidualView view(base);
-
-  for (model::ClusterId k : cloud.cluster_ids()) {
-    const std::size_t m = cloud.cluster(k).servers.size();
-    for (std::size_t n : {std::size_t{1}, std::size_t{3}, m / 2, m, m + 10}) {
-      // Copy: growing the prefix (or a later full-order query) reuses the
-      // same backing vector.
-      const std::vector<model::ServerId> pre = view.ordered_prefix(k, n);
-      ASSERT_GE(pre.size(), std::min(n, m));
-      const std::vector<model::ServerId> full = view.insertion_candidates(k);
-      ASSERT_EQ(full.size(), m);
-      for (std::size_t idx = 0; idx < pre.size(); ++idx)
-        EXPECT_EQ(pre[idx], full[idx]) << "n " << n << " idx " << idx;
-    }
-  }
-
-  // A copied view drops the index and lazily rebuilds the same order.
-  model::ResidualView copy = view;
-  for (model::ClusterId k : cloud.cluster_ids())
-    EXPECT_EQ(copy.insertion_candidates(k), view.insertion_candidates(k));
-}
-
-TEST(HierarchicalIndex, DiskScreenMatchesScalarFilter) {
+TEST(SimdKernels, DiskScreenMatchesScalarFilter) {
   WidthRestorer restore;
   workload::ScenarioParams params;
   params.num_clients = 50;
