@@ -5,11 +5,14 @@
 // scenarios, allocations, and experiment results portable and replayable.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -68,5 +71,19 @@ class Json {
                JsonObject>
       value_;
 };
+
+/// The value of `d` as a T when `d` is a whole number within T's range;
+/// nullopt for fractions, NaN, infinities and anything out of range. The
+/// range test runs before the conversion, which is undefined for an
+/// out-of-range double. Decoders of untrusted documents read every
+/// integer field through this.
+template <class T>
+std::optional<T> exact_integer(double d) {
+  static_assert(std::is_integral_v<T>);
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);  // max+1
+  if (!(d >= lo && d < hi) || std::trunc(d) != d) return std::nullopt;
+  return static_cast<T>(d);
+}
 
 }  // namespace cloudalloc

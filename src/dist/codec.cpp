@@ -77,11 +77,14 @@ class Cursor {
     return v->as_number();
   }
 
-  std::int64_t integer(const Json& node, const char* key) {
+  /// The field as a T; a value that is not a whole number within T's
+  /// range latches an error.
+  template <class T>
+  T integer(const Json& node, const char* key) {
     const double d = num(node, key);
-    if (ok_ && d != static_cast<double>(static_cast<std::int64_t>(d)))
-      fail(std::string("not an integer: ") + key);
-    return static_cast<std::int64_t>(d);
+    const std::optional<T> v = exact_integer<T>(d);
+    if (!v) fail(std::string("not an integer in range: ") + key);
+    return v.value_or(T{0});
   }
 
   bool boolean(const Json& node, const char* key) {
@@ -128,8 +131,8 @@ std::vector<ClientPlacements> rows_from_json(const Json& node, const char* key,
   std::vector<ClientPlacements> out;
   for (const Json& rj : cur.array(node, key)) {
     ClientPlacements row;
-    row.client = ClientId{static_cast<int>(cur.integer(rj, "client"))};
-    row.cluster = ClusterId{static_cast<int>(cur.integer(rj, "cluster"))};
+    row.client = ClientId{cur.integer<int>(rj, "client")};
+    row.cluster = ClusterId{cur.integer<int>(rj, "cluster")};
     row.placements = placements_from_json(rj, "placements", cur);
     if (!cur.ok()) return out;
     if (!row.client.valid()) {
@@ -148,8 +151,8 @@ StateDelta delta_from_json(const Json& node, const char* key, Cursor& cur) {
     cur.fail(std::string("missing/invalid delta: ") + key);
     return delta;
   }
-  delta.base_version = cur.integer(*v, "base");
-  delta.target_version = cur.integer(*v, "target");
+  delta.base_version = cur.integer<std::int64_t>(*v, "base");
+  delta.target_version = cur.integer<std::int64_t>(*v, "target");
   delta.changes = rows_from_json(*v, "changes", cur);
   return delta;
 }
@@ -166,17 +169,17 @@ std::optional<Json> parse_envelope(const std::string& bytes,
   Cursor cur;
   const Json* proto = doc->find("proto");
   if (proto == nullptr || !proto->is_number() ||
-      proto->as_int() != protocol::kProtocolVersion)
+      proto->as_number() != protocol::kProtocolVersion)
     cur.fail("unknown protocol version");
   const Json* type = doc->find("type");
   if (type == nullptr || !type->is_string()) cur.fail("missing type");
-  const std::int64_t e = cur.integer(*doc, "epoch");
+  const auto e = cur.integer<std::uint64_t>(*doc, "epoch");
   if (!cur.ok()) {
     if (error != nullptr) *error = cur.error();
     return std::nullopt;
   }
   *type_out = type->as_string();
-  *epoch = static_cast<std::uint64_t>(e);
+  *epoch = e;
   return doc;
 }
 
@@ -249,16 +252,16 @@ std::optional<protocol::AgentMessage> decode_agent_message(
   if (type == "bid_request") {
     protocol::BidRequest m;
     m.epoch = epoch;
-    m.seq = cur.integer(*doc, "seq");
-    m.cluster = ClusterId{static_cast<int>(cur.integer(*doc, "cluster"))};
-    m.client = ClientId{static_cast<int>(cur.integer(*doc, "client"))};
+    m.seq = cur.integer<std::int64_t>(*doc, "seq");
+    m.cluster = ClusterId{cur.integer<int>(*doc, "cluster")};
+    m.client = ClientId{cur.integer<int>(*doc, "client")};
     m.delta = delta_from_json(*doc, "delta", cur);
     out = std::move(m);
   } else if (type == "improve_request") {
     protocol::ImproveRequest m;
     m.epoch = epoch;
-    m.round = static_cast<int>(cur.integer(*doc, "round"));
-    m.cluster = ClusterId{static_cast<int>(cur.integer(*doc, "cluster"))};
+    m.round = cur.integer<int>(*doc, "round");
+    m.cluster = ClusterId{cur.integer<int>(*doc, "cluster")};
     m.delta = delta_from_json(*doc, "delta", cur);
     out = std::move(m);
   } else if (type == "shutdown") {
@@ -286,9 +289,9 @@ std::optional<protocol::ManagerMessage> decode_manager_message(
   if (type == "bid_response") {
     protocol::BidResponse m;
     m.epoch = epoch;
-    m.seq = cur.integer(*doc, "seq");
-    m.cluster = ClusterId{static_cast<int>(cur.integer(*doc, "cluster"))};
-    m.state_version = cur.integer(*doc, "version");
+    m.seq = cur.integer<std::int64_t>(*doc, "seq");
+    m.cluster = ClusterId{cur.integer<int>(*doc, "cluster")};
+    m.state_version = cur.integer<std::int64_t>(*doc, "version");
     m.applied = cur.boolean(*doc, "applied");
     m.feasible = cur.boolean(*doc, "feasible");
     m.score = cur.num(*doc, "score");
@@ -297,9 +300,9 @@ std::optional<protocol::ManagerMessage> decode_manager_message(
   } else if (type == "improve_response") {
     protocol::ImproveResponse m;
     m.epoch = epoch;
-    m.round = static_cast<int>(cur.integer(*doc, "round"));
-    m.cluster = ClusterId{static_cast<int>(cur.integer(*doc, "cluster"))};
-    m.state_version = cur.integer(*doc, "version");
+    m.round = cur.integer<int>(*doc, "round");
+    m.cluster = ClusterId{cur.integer<int>(*doc, "cluster")};
+    m.state_version = cur.integer<std::int64_t>(*doc, "version");
     m.applied = cur.boolean(*doc, "applied");
     m.improvement.cluster = m.cluster;
     m.improvement.profit_delta = cur.num(*doc, "profit_delta");

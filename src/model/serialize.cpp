@@ -61,9 +61,9 @@ class Reader {
 
   int integer(const Json& node, const char* key) {
     const double d = num(node, key);
-    if (ok_ && d != static_cast<double>(static_cast<long long>(d)))
-      fail(std::string("not an integer: ") + key);
-    return static_cast<int>(d);
+    const std::optional<int> v = exact_integer<int>(d);
+    if (!v) fail(std::string("not an integer in range: ") + key);
+    return v.value_or(0);
   }
 
   std::string str(const Json& node, const char* key) {
@@ -303,8 +303,11 @@ std::optional<Cloud> cloud_from_json(const Json& doc, std::string* error) {
     cl.id = ClusterId{reader.integer(node, "id")};
     cl.name = reader.str(node, "name");
     for (const auto& member : reader.array(node, "servers")) {
-      if (!member.is_number()) return fail("cluster member not an id");
-      cl.servers.push_back(ServerId{static_cast<int>(member.as_number())});
+      const std::optional<int> id =
+          member.is_number() ? exact_integer<int>(member.as_number())
+                             : std::nullopt;
+      if (!id) return fail("cluster member not an id");
+      cl.servers.push_back(ServerId{*id});
     }
     if (!reader.ok()) return fail(reader.error());
     if (cl.id != ClusterId{static_cast<int>(clusters.size())})

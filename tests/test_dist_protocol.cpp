@@ -182,6 +182,23 @@ TEST(Codec, MalformedFramesAreRejectedNotFatal) {
       R"({"proto":1,"type":"improve_request","epoch":1,"round":0,)"
       R"("cluster":0,"delta":{"base":0,"target":1,"changes":[{"client":-7,)"
       R"("cluster":0,"placements":[]}]}})",                // negative client id
+      // Integers that do not fit their field's type.
+      R"({"proto":1.5,"type":"shutdown","epoch":1})",
+      R"({"proto":1,"type":"shutdown","epoch":-1})",
+      R"({"proto":1,"type":"shutdown","epoch":1e300})",
+      R"({"proto":1,"type":"improve_request","epoch":1,"round":0,)"
+      R"("cluster":4294967296,"delta":{"base":0,"target":1,"changes":[]}})",
+      R"({"proto":1,"type":"improve_request","epoch":1,"round":0,)"
+      R"("cluster":4294967297,"delta":{"base":0,"target":1,"changes":[]}})",
+      R"({"proto":1,"type":"improve_request","epoch":1,"round":0,)"
+      R"("cluster":2147483648,"delta":{"base":0,"target":1,"changes":[]}})",
+      R"({"proto":1,"type":"improve_request","epoch":1,"round":0,)"
+      R"("cluster":1e300,"delta":{"base":0,"target":1,"changes":[]}})",
+      R"({"proto":1,"type":"improve_request","epoch":1,)"
+      R"("round":2147483648,"cluster":0,)"
+      R"("delta":{"base":0,"target":1,"changes":[]}})",
+      R"({"proto":1,"type":"improve_request","epoch":1,"round":0,)"
+      R"("cluster":0,"delta":{"base":0,"target":1e300,"changes":[]}})",
   };
   for (const std::string& bytes : cases) {
     std::string error;
@@ -197,6 +214,12 @@ TEST(Codec, MalformedFramesAreRejectedNotFatal) {
       codec::decode_agent_message(valid.substr(0, valid.size() - 3)));
   // An agent message is not a manager message and vice versa.
   EXPECT_FALSE(codec::decode_manager_message(valid).has_value());
+  // The out-of-range cluster cases above differ from a frame that decodes
+  // only in that field.
+  const std::string in_range =
+      R"({"proto":1,"type":"improve_request","epoch":1,"round":0,)"
+      R"("cluster":2147483647,"delta":{"base":0,"target":1,"changes":[]}})";
+  EXPECT_TRUE(codec::decode_agent_message(in_range).has_value());
 }
 
 // --- AgentActor delta semantics -----------------------------------------

@@ -1,5 +1,8 @@
 #include "common/json.h"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace cloudalloc {
@@ -122,6 +125,25 @@ TEST(Json, NumbersSurviveRoundTrip) {
     ASSERT_TRUE(doc.has_value());
     EXPECT_DOUBLE_EQ(doc->as_number(), v);
   }
+}
+
+TEST(Json, ExactIntegerAcceptsOnlyWholeNumbersInRange) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(exact_integer<int>(2147483647.0), 2147483647);
+  EXPECT_EQ(exact_integer<int>(-2147483648.0), -2147483647 - 1);
+  EXPECT_EQ(exact_integer<int>(-0.0), 0);
+  for (double d : {2147483648.0, -2147483649.0, 4294967297.0, 1.5, -0.5,
+                   1e300, -1e300, nan, inf, -inf})
+    EXPECT_FALSE(exact_integer<int>(d).has_value()) << d;
+  // 2^63 is the first double past int64's range; -2^63 is its minimum.
+  EXPECT_FALSE(exact_integer<std::int64_t>(9223372036854775808.0));
+  EXPECT_EQ(exact_integer<std::int64_t>(-9223372036854775808.0),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(exact_integer<std::uint64_t>(9223372036854775808.0),
+            std::uint64_t{1} << 63);
+  EXPECT_FALSE(exact_integer<std::uint64_t>(18446744073709551616.0));
+  EXPECT_FALSE(exact_integer<std::uint64_t>(-1.0));
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include "model/serialize.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "alloc/allocator.h"
@@ -93,6 +97,44 @@ TEST(SerializeCloud, RejectsWrongFormat) {
   JsonObject o;
   o.emplace("format", "something.else");
   EXPECT_FALSE(cloud_from_json(Json(std::move(o))).has_value());
+}
+
+/// `doc` with entry `idx` of the first element of array `section` set to
+/// `value`: field `key` of an object entry, or the whole entry of a list.
+Json with_first(const Json& doc, const char* section, const char* key,
+                std::size_t idx, Json value) {
+  JsonObject root = doc.as_object();
+  JsonArray list = root.at(section).as_array();
+  JsonObject first = list[0].as_object();
+  if (first.at(key).is_array()) {
+    JsonArray entries = first.at(key).as_array();
+    entries[idx] = std::move(value);
+    first[key] = Json(std::move(entries));
+  } else {
+    first[key] = std::move(value);
+  }
+  list[0] = Json(std::move(first));
+  root[section] = Json(std::move(list));
+  return Json(std::move(root));
+}
+
+TEST(SerializeCloud, RejectsIdsThatAreNotInts) {
+  // Cluster 0 lists servers 0 and 1; each value below replaces server 1,
+  // so a decoder that truncates 1.5 would load the same cloud.
+  const Json doc = cloud_to_json(workload::make_tiny_scenario(4));
+  const Json& members = doc.at("clusters").as_array()[0].at("servers");
+  ASSERT_EQ(members.as_array()[1].as_number(), 1.0);
+  ASSERT_TRUE(cloud_from_json(doc).has_value());
+  std::vector<Json> bad;
+  for (double member : {1.5, 4294967297.0, 1e300})
+    bad.push_back(with_first(doc, "clusters", "servers", 1, Json(member)));
+  bad.push_back(with_first(doc, "servers", "id", 0, Json(1e300)));
+  for (const Json& corrupt : bad) {
+    std::string error;
+    EXPECT_FALSE(cloud_from_json(corrupt, &error).has_value())
+        << corrupt.dump();
+    EXPECT_FALSE(error.empty()) << corrupt.dump();
+  }
 }
 
 TEST(SerializeAllocation, RoundTripsSolvedAllocation) {
