@@ -19,8 +19,9 @@
 //       Run every solver on the cloud and print a profit/time table.
 //   epochs    --cloud=cloud.json [--epochs=8] [--amplitude=0.4]
 //             [--spikes=0.02] [--seed=1]
-//       Drive the decision-epoch controller over a synthetic diurnal
-//       trace and print the per-epoch report.
+//       Drive the online serving driver (serve::OnlineDriver) over a
+//       synthetic diurnal trace and print the per-epoch report; exits 1
+//       if an epoch leaves an infeasible allocation.
 //
 // Document schemas: docs/FORMAT.md.
 //
@@ -36,12 +37,13 @@
 #include "baselines/proportional_share.h"
 #include "baselines/sa_alloc.h"
 #include "common/args.h"
-#include "epoch/controller.h"
 #include "common/table.h"
+#include "epoch/predictor.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
 #include "model/report.h"
 #include "model/serialize.h"
+#include "serve/driver.h"
 #include "sim/runner.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
@@ -267,22 +269,30 @@ int cmd_epochs(const Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const auto trace = workload::make_rate_trace(*cloud, trace_params, seed);
 
-  epoch::Controller controller(*cloud, epoch::HoltPredictor(0.6, 0.3, 1.0));
-  Table table({"epoch", "mode", "drift", "profit", "rounds", "active",
-               "unassigned", "seconds"});
-  auto add_row = [&](const epoch::EpochReport& report) {
-    table.add_row({std::to_string(report.epoch),
-                   report.cold_start ? "cold" : "warm",
-                   Table::num(report.mean_drift, 3),
-                   Table::num(report.profit, 1),
-                   std::to_string(report.rounds_run),
-                   std::to_string(report.active_servers),
-                   std::to_string(report.unassigned_clients),
-                   Table::num(report.wall_seconds, 2)});
+  std::vector<model::ClientId> everyone;
+  for (model::ClientId i : cloud->client_ids()) everyone.push_back(i);
+  serve::OnlineDriver driver(*cloud, everyone,
+                             epoch::HoltPredictor(0.6, 0.3, 1.0));
+  Table table({"epoch", "mode", "changes", "profit", "rounds", "active",
+               "serving", "seconds"});
+  // Records the epoch; false if it left an infeasible allocation.
+  auto add_row = [&](const serve::EpochStats& stats) {
+    const model::Allocation& alloc = driver.server().allocation();
+    table.add_row({std::to_string(stats.epoch),
+                   stats.full_resolve ? "full" : "warm",
+                   std::to_string(stats.demand_changes),
+                   Table::num(stats.profit, 1),
+                   std::to_string(stats.rounds_run),
+                   std::to_string(alloc.num_active_servers()),
+                   std::to_string(stats.serving),
+                   Table::num(stats.wall_ms / 1000.0, 2)});
+    return model::is_feasible(alloc);
   };
-  add_row(controller.start());
-  for (const auto& observed : trace) add_row(controller.step(observed));
+  bool feasible = add_row(driver.start());
+  for (const auto& observed : trace)
+    feasible = add_row(driver.step({}, observed)) && feasible;
   table.print(std::cout);
+  if (!feasible) return fail("an epoch left an infeasible allocation");
   return 0;
 }
 
@@ -291,7 +301,8 @@ int cmd_epochs(const Args& args) {
 int main(int argc, char** argv) {
   const Args args(argc, argv);
   if (args.positional().empty()) {
-    std::cout << "usage: cloudalloc_tool <generate|allocate|audit|simulate> "
+    std::cout << "usage: cloudalloc_tool "
+                 "<generate|allocate|audit|simulate|compare|epochs> "
                  "[--flags]\n(see the header of examples/cloudalloc_tool.cpp)"
               << "\n";
     return 1;

@@ -95,20 +95,4 @@ double adjust_all_dispersions(AllocState& state, const AllocatorOptions& opts) {
   return delta;
 }
 
-double adjust_dispersion_rates(Allocation& alloc, ClientId i,
-                               const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = adjust_dispersion_rates(state, i, opts);
-  alloc = std::move(state).release();
-  return delta;
-}
-
-double adjust_all_dispersions(Allocation& alloc,
-                              const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = adjust_all_dispersions(state, opts);
-  alloc = std::move(state).release();
-  return delta;
-}
-
 }  // namespace cloudalloc::alloc

@@ -7,20 +7,15 @@
 
 #include "alloc/options.h"
 #include "model/alloc_state.h"
-#include "model/allocation.h"
 
 namespace cloudalloc::alloc {
 
 /// Re-splits client i's traffic across its current servers. Returns the
 /// realized profit delta (0 when skipped or reverted).
-double adjust_dispersion_rates(model::Allocation& alloc, model::ClientId i,
-                               const AllocatorOptions& opts);
 double adjust_dispersion_rates(model::AllocState& state, model::ClientId i,
                                const AllocatorOptions& opts);
 
 /// Runs the adjustment for every assigned client; returns the total delta.
-double adjust_all_dispersions(model::Allocation& alloc,
-                              const AllocatorOptions& opts);
 double adjust_all_dispersions(model::AllocState& state,
                               const AllocatorOptions& opts);
 

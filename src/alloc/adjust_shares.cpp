@@ -128,19 +128,4 @@ double adjust_all_shares(AllocState& state, const AllocatorOptions& opts) {
   return delta;
 }
 
-double adjust_resource_shares(Allocation& alloc, ServerId j,
-                              const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = adjust_resource_shares(state, j, opts);
-  alloc = std::move(state).release();
-  return delta;
-}
-
-double adjust_all_shares(Allocation& alloc, const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = adjust_all_shares(state, opts);
-  alloc = std::move(state).release();
-  return delta;
-}
-
 }  // namespace cloudalloc::alloc

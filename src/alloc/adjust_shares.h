@@ -9,21 +9,16 @@
 
 #include "alloc/options.h"
 #include "model/alloc_state.h"
-#include "model/allocation.h"
 
 namespace cloudalloc::alloc {
 
 /// Re-balances both resources' shares on server j. Returns the profit
 /// delta actually realized (0 when the step was skipped or reverted).
-double adjust_resource_shares(model::Allocation& alloc, model::ServerId j,
-                              const AllocatorOptions& opts);
 double adjust_resource_shares(model::AllocState& state, model::ServerId j,
                               const AllocatorOptions& opts);
 
 /// Runs adjust_resource_shares over every active server; returns the total
 /// realized profit delta.
-double adjust_all_shares(model::Allocation& alloc,
-                         const AllocatorOptions& opts);
 double adjust_all_shares(model::AllocState& state,
                          const AllocatorOptions& opts);
 

@@ -9,7 +9,6 @@
 #include "alloc/initial.h"
 #include "alloc/reassign.h"
 #include "alloc/server_power.h"
-#include "common/log.h"
 #include "common/prof.h"
 #include "common/rng.h"
 #include "model/alloc_state.h"
@@ -87,7 +86,6 @@ AllocatorReport ResourceAllocator::improve_state_impl(
   // so a round can transiently dip; keep the best state ever seen.
   model::AllocState::Checkpoint best = state.checkpoint(initial_profit);
   double best_profit = initial_profit;
-  double profit_now = initial_profit;
   int stalled_rounds = 0;
   for (int round = 0; round < options_.max_local_search_rounds; ++round) {
     RoundTrace trace;
@@ -139,11 +137,6 @@ AllocatorReport ResourceAllocator::improve_state_impl(
       best = state.checkpoint(profit_after);
     }
 
-    if (options_.verbose)
-      CLOG(kInfo) << "round " << round << ": profit " << profit_after
-                  << " (gain " << profit_after - profit_now << ")"
-                  << (trace.truncated ? " [truncated: epoch deadline]" : "");
-    profit_now = profit_after;
     if (trace.truncated) break;  // epoch deadline
     // Rounds can dip (unconditional share rebalance) before a later round
     // recovers more; stop only after two rounds without a new best.

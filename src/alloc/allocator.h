@@ -59,8 +59,8 @@ class ResourceAllocator {
   AllocatorResult run(const model::Cloud& cloud) const;
 
   /// Runs only the improvement loop on a caller-provided starting
-  /// allocation (used by the Monte-Carlo harness, warm starts between
-  /// decision epochs, and the Figure-5 robustness experiment).
+  /// allocation (used by the consolidation example and to polish a given
+  /// start in the tests).
   AllocatorResult improve(model::Allocation initial) const;
 
   /// In-place improvement loop for the online serving layer's warm-started

@@ -133,12 +133,12 @@ struct Scratch {
         queueing::gps_min_share(lambda, WorkRate{sc.cap_p}, Work{p.c.alpha_p},
                                 headroom),
         preferred_share(lambda, 1.0, WorkRate{sc.cap_p}, Work{p.c.alpha_p},
-                        p.zc, p.sizing.slack_work_p, p.opts));
+                        p.zc, p.sizing.slack_work_p));
     n.need_n = std::max(
         queueing::gps_min_share(lambda, WorkRate{sc.cap_n}, Work{p.c.alpha_n},
                                 headroom),
         preferred_share(lambda, 1.0, WorkRate{sc.cap_n}, Work{p.c.alpha_n},
-                        p.zc, p.sizing.slack_work_n, p.opts));
+                        p.zc, p.sizing.slack_work_n));
     return n;
   }
 };

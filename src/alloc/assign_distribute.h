@@ -11,7 +11,7 @@
 // candidate server j and quantum count g the slice's shares are sized by
 // the clamped closed form (stability floor <= share <= free capacity,
 // targeting a fixed fraction of the client's utility zero-crossing — see
-// AllocatorOptions::delay_target_fraction), yielding a score
+// kDelayTargetFraction in share_policy.h), yielding a score
 //
 //   f_j(g) = -lambda_a * s * psi_g * T_j(psi_g)       (linearized utility)
 //            - P1_j * psi_g * lambda * alpha_p / Cp_j  (load cost)

@@ -6,7 +6,6 @@
 
 #include "alloc/sharded.h"
 #include "common/check.h"
-#include "common/log.h"
 #include "model/alloc_state.h"
 #include "model/evaluator.h"
 
@@ -96,10 +95,6 @@ Allocation build_initial_solution(const Cloud& cloud,
   std::size_t best = 0;
   for (std::size_t iter = 1; iter < profits.size(); ++iter)
     if (profits[iter] > profits[best]) best = iter;
-  if (opts.verbose)
-    for (std::size_t iter = 0; iter < profits.size(); ++iter)
-      CLOG(kInfo) << "initial solution " << iter << ": profit "
-                  << profits[iter];
   CHECK(cands[best].has_value());
   return std::move(*cands[best]);
 }

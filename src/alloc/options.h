@@ -20,13 +20,6 @@ struct AllocatorOptions {
   /// of constraint (7)).
   double stability_headroom = 0.05;
 
-  /// When sizing a fresh slice's share, aim for a per-stage sojourn time of
-  /// this fraction of the client's utility zero-crossing ([interp] — the
-  /// scan lost the paper's exact share-sizing constant). The effective size
-  /// is the minimum of this and the capacity-proportional size (see
-  /// share_policy.h), so tight clouds shrink everyone's slack.
-  double delay_target_fraction = 0.15;
-
   /// Ceiling multiplier for Adjust_ResourceShares: a slice's share may grow
   /// to at most share_growth x its preferred size, keeping free capacity on
   /// every server so the local search can still move clients.
@@ -43,34 +36,12 @@ struct AllocatorOptions {
   /// the predictions that shaped it go stale (Section III).
   double time_budget_ms = 0.0;
 
-  /// TurnOFF pre-screen (absolute profit units): every candidate shutdown
-  /// is first priced clone-free on a ResidualView of the shrunk cluster
-  /// (evictions and re-insertions through the delta pricer); the expensive
-  /// materialization — clone, share re-grow, exact profit gate — runs only
-  /// when that estimate is above -power_screen_margin. The estimate omits
-  /// the re-grow step, so the margin absorbs how much re-growing shares
-  /// can add on top of the priced moves. Negative disables the screen
-  /// (every surviving candidate is materialized and gated exactly).
-  double power_screen_margin = 1.0;
-
-  /// TurnOFF early exit: candidates are probed worst-value first, and a
-  /// pass over a cluster stops after this many consecutive candidates
-  /// fail (eviction infeasible, screened out, or gate-rejected). The
-  /// ranking means every remaining candidate carries strictly more value
-  /// than the ones that just failed, so shutdown attempts on them are
-  /// even less likely to pay. <= 0 probes every candidate.
-  int power_patience = 4;
-
   // Stage toggles (the ablation bench flips these).
   bool enable_adjust_shares = true;
   bool enable_adjust_dispersion = true;
   bool enable_turn_on = true;
   bool enable_turn_off = true;
   bool enable_reassign = true;
-
-  /// Clients whose delivered utility is below this fraction of their
-  /// maximum are treated as "degraded" by TurnON and reassignment passes.
-  double degraded_utility_fraction = 0.9;
 
   /// Admission control (extension; the paper's constraint (6) serves every
   /// client). When true, the greedy skips clients whose approximate profit
@@ -143,13 +114,7 @@ struct AllocatorOptions {
   /// <= 0 waits indefinitely — only safe with a fault-free transport.
   double dist_round_timeout_ms = 2000.0;
 
-  /// Consecutive silent rounds after which an agent is presumed dead and
-  /// no longer waited for (its cluster keeps its last merged placements).
-  /// A late response from a presumed-dead agent revives it.
-  int dist_miss_threshold = 2;
-
   std::uint64_t seed = 1;
-  bool verbose = false;
 };
 
 }  // namespace cloudalloc::alloc

@@ -195,38 +195,4 @@ double reassign_until_steady(AllocState& state, const AllocatorOptions& opts,
   return total;
 }
 
-// --- Allocation wrappers (adopt -> run -> release; the move in and out
-// copies nothing and changes no state bits) ------------------------------
-
-double reassign_pass(Allocation& alloc, const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = reassign_pass(state, opts);
-  alloc = std::move(state).release();
-  return delta;
-}
-
-double reassign_pass_snapshot(Allocation& alloc, const AllocatorOptions& opts,
-                              const dist::ParallelEval& eval) {
-  AllocState state(std::move(alloc));
-  const double delta = reassign_pass_snapshot(state, opts, eval);
-  alloc = std::move(state).release();
-  return delta;
-}
-
-double drop_unprofitable_clients(Allocation& alloc,
-                                 const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = drop_unprofitable_clients(state, opts);
-  alloc = std::move(state).release();
-  return delta;
-}
-
-double reassign_until_steady(Allocation& alloc, const AllocatorOptions& opts,
-                             int max_rounds) {
-  AllocState state(std::move(alloc));
-  const double delta = reassign_until_steady(state, opts, max_rounds);
-  alloc = std::move(state).release();
-  return delta;
-}
-
 }  // namespace cloudalloc::alloc

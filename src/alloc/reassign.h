@@ -9,7 +9,6 @@
 #include "alloc/options.h"
 #include "dist/parallel_eval.h"
 #include "model/alloc_state.h"
-#include "model/allocation.h"
 
 namespace cloudalloc::alloc {
 
@@ -22,7 +21,6 @@ namespace cloudalloc::alloc {
 /// and delta-priced against a ResidualView mirror of the allocation, so a
 /// client with no (worthwhile) move costs no Allocation mutation and no
 /// profit-cache repair. Returns the delta.
-double reassign_pass(model::Allocation& alloc, const AllocatorOptions& opts);
 double reassign_pass(model::AllocState& state, const AllocatorOptions& opts);
 
 /// Snapshot-scored variant used by the allocator hot path: candidate moves
@@ -33,18 +31,12 @@ double reassign_pass(model::AllocState& state, const AllocatorOptions& opts);
 /// improvement; a stale plan falls back to a live re-price). The apply
 /// order and all tie-breaks are fixed, so the result is bit-identical at
 /// any thread count — including the inline default. Returns the delta.
-double reassign_pass_snapshot(model::Allocation& alloc,
-                              const AllocatorOptions& opts,
-                              const dist::ParallelEval& eval = {});
 double reassign_pass_snapshot(model::AllocState& state,
                               const AllocatorOptions& opts,
                               const dist::ParallelEval& eval = {});
 
 /// Repeats reassign_pass until a pass yields (relatively) less than
 /// opts.steady_tolerance, at most `max_rounds` times. Returns total delta.
-double reassign_until_steady(model::Allocation& alloc,
-                             const AllocatorOptions& opts,
-                             int max_rounds = 10);
 double reassign_until_steady(model::AllocState& state,
                              const AllocatorOptions& opts,
                              int max_rounds = 10);
@@ -52,8 +44,6 @@ double reassign_until_steady(model::AllocState& state,
 /// Admission-control pass (only meaningful with opts.allow_rejection):
 /// removes every client whose removal raises true profit (serving it costs
 /// more in energy than its SLA pays). Returns the realized profit delta.
-double drop_unprofitable_clients(model::Allocation& alloc,
-                                 const AllocatorOptions& opts);
 double drop_unprofitable_clients(model::AllocState& state,
                                  const AllocatorOptions& opts);
 

@@ -17,6 +17,26 @@
 namespace cloudalloc::alloc {
 namespace {
 
+/// Clients whose delivered utility is below this fraction of their maximum
+/// are "degraded": TurnON's bidders for a newly activated server.
+constexpr double kDegradedUtilityFraction = 0.9;
+
+/// TurnOFF pre-screen (absolute profit units): every candidate shutdown is
+/// first priced on the view of the shrunk cluster (evictions and
+/// re-insertions through the delta pricer); materialization — share
+/// re-grow and the exact profit gate — runs only when that estimate is
+/// above -kPowerScreenMargin. The estimate omits the re-grow step, so the
+/// margin absorbs how much re-growing shares can add on top of the priced
+/// moves.
+constexpr double kPowerScreenMargin = 1.0;
+
+/// TurnOFF early exit: candidates are probed worst-value first, and a pass
+/// over a cluster stops after this many consecutive candidates fail
+/// (eviction infeasible, screened out, or gate-rejected). The ranking means
+/// every remaining candidate carries strictly more value than the ones that
+/// just failed, so shutting them down is even less likely to pay.
+constexpr int kPowerPatience = 4;
+
 using model::AllocState;
 using model::Allocation;
 using model::ClientId;
@@ -45,8 +65,7 @@ double server_value(const Allocation& alloc, ServerId j) {
 
 /// Clients in cluster k whose delivered utility is below the degraded
 /// threshold (these are the ones a new server could help).
-std::vector<ClientId> degraded_clients(const Allocation& alloc, ClusterId k,
-                                       const AllocatorOptions& opts) {
+std::vector<ClientId> degraded_clients(const Allocation& alloc, ClusterId k) {
   const Cloud& cloud = alloc.cloud();
   std::vector<ClientId> out;
   // clients_in() is ascending by id: that fixes the input order of the
@@ -57,7 +76,7 @@ std::vector<ClientId> degraded_clients(const Allocation& alloc, ClusterId k,
     if (max_u <= 0.0) continue;
     const double r = alloc.response_time(i);
     const double u = std::isfinite(r) ? fn.value(r) : 0.0;
-    if (u < opts.degraded_utility_fraction * max_u) out.push_back(i);
+    if (u < kDegradedUtilityFraction * max_u) out.push_back(i);
   }
   // Worst-served first: they have the most to gain.
   std::sort(out.begin(), out.end(), [&](ClientId a, ClientId b) {
@@ -83,8 +102,7 @@ double turn_on_servers(AllocState& state, ClusterId k,
   double total_delta = 0.0;
   for (const auto& [cls, j] : candidates) {
     (void)cls;
-    const std::vector<ClientId> bidders =
-        degraded_clients(state.ledger(), k, opts);
+    const std::vector<ClientId> bidders = degraded_clients(state.ledger(), k);
     if (bidders.empty()) break;
 
     // The trial runs in place under a savepoint over cluster k: bids
@@ -188,7 +206,7 @@ double turn_off_servers(AllocState& state, ClusterId k,
   int failures = 0;  // consecutive non-commits, for the patience exit
   for (const auto& [value, j] : ranked) {
     (void)value;
-    if (opts.power_patience > 0 && failures >= opts.power_patience) break;
+    if (failures >= kPowerPatience) break;
     if (!state.ledger().active(j)) continue;  // emptied by earlier shutdown
     ensure_base();
     constraints.exclude = j;
@@ -232,8 +250,7 @@ double turn_off_servers(AllocState& state, ClusterId k,
     // Screen: the shrink and re-grow sweeps on the survivors roughly
     // cancel at the gate, so the priced moves carry the decision; only
     // candidates within the margin pay for materialization.
-    if (opts.power_screen_margin >= 0.0 &&
-        move_delta - eviction_penalty < -opts.power_screen_margin) {
+    if (move_delta - eviction_penalty < -kPowerScreenMargin) {
       ++failures;
       continue;
     }

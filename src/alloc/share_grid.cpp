@@ -139,7 +139,7 @@ int size_share_grid(ArrivalRate lambda, int G, units::WorkRate cap,
   // zero-crossings; +inf makes the min a no-op, same as the scalar branch.
   gc.delay_slack =
       (std::isfinite(zc.value()) && zc.value() > 0.0)
-          ? gc.alpha / (opts.delay_target_fraction * zc.value())
+          ? gc.alpha / (kDelayTargetFraction * zc.value())
           : std::numeric_limits<double>::infinity();
   gc.free_share = free_share;
 

@@ -29,6 +29,11 @@
 
 namespace cloudalloc::alloc {
 
+/// theta above: a fresh slice's share aims for a per-stage sojourn time of
+/// this fraction of the client's utility zero-crossing ([interp] — the scan
+/// lost the paper's exact share-sizing constant).
+constexpr double kDelayTargetFraction = 0.15;
+
 /// Cloud-wide slack budgets, one per resource: work-units/second of slack
 /// a single client may claim, = safety * (total capacity - total demand)
 /// / num_clients, floored at a small positive value.
@@ -53,8 +58,8 @@ struct ShareSizing {
 /// allocator run.
 inline units::Share preferred_share(units::ArrivalRate arrivals, double psi,
                                     units::WorkRate cap, units::Work alpha,
-                                    units::Time zc, units::WorkRate slack_work,
-                                    const AllocatorOptions& opts) {
+                                    units::Time zc,
+                                    units::WorkRate slack_work) {
   CHECK(cap.value() > 0.0);
   CHECK(alpha.value() > 0.0);
   CHECK(psi > 0.0 && psi <= 1.0 + 1e-9);
@@ -63,7 +68,7 @@ inline units::Share preferred_share(units::ArrivalRate arrivals, double psi,
     // Delay-target slack in work units: slack_rate = 1/(theta*zc), times
     // alpha to convert requests/s to work/s.
     const units::WorkRate delay_slack =
-        alpha / (opts.delay_target_fraction * zc);
+        alpha / (kDelayTargetFraction * zc);
     slack = std::min(slack, delay_slack);
   }
   return units::Share{(arrivals * alpha + slack) / cap};
@@ -76,7 +81,7 @@ inline units::Share share_cap(units::ArrivalRate arrivals, double psi,
                               units::Time zc, units::WorkRate slack_work,
                               const AllocatorOptions& opts) {
   return opts.share_growth *
-         preferred_share(arrivals, psi, cap, alpha, zc, slack_work, opts);
+         preferred_share(arrivals, psi, cap, alpha, zc, slack_work);
 }
 
 /// Batched form of Assign_Distribute's per-quantum share sizing: for every

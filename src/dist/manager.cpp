@@ -33,6 +33,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Consecutive silent rounds after which an agent is presumed dead and no
+/// longer waited for (its cluster keeps its last merged placements). A
+/// late response from a presumed-dead agent revives it.
+constexpr int kMissThreshold = 2;
+
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -416,7 +421,7 @@ DistributedResult DistributedAllocator::run_message_passing(
         } else if (!dead[idx]) {
           ++report.responses_missed;
           if (!got[idx].has_value() &&
-              ++misses[idx] >= aopts.dist_miss_threshold) {
+              ++misses[idx] >= kMissThreshold) {
             dead[idx] = 1;
             ++report.agents_presumed_dead;
           }

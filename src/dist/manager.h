@@ -95,8 +95,8 @@ struct DistributedReport {
   /// Messages discarded by the idempotent merge (duplicate or
   /// wrong-round/epoch responses) plus undecodable frames.
   std::size_t stale_messages = 0;
-  /// Agents the manager declared dead (failed send or
-  /// dist_miss_threshold consecutive silent rounds).
+  /// Agents the manager declared dead (failed send or two consecutive
+  /// silent rounds).
   int agents_presumed_dead = 0;
   double wall_seconds = 0.0;
 };

@@ -116,14 +116,4 @@ double PredictorBank::predict(int i) const {
   return predictors_[static_cast<std::size_t>(i)]->predict();
 }
 
-double PredictorBank::mean_drift(const std::vector<double>& reference) const {
-  CHECK(static_cast<int>(reference.size()) == size());
-  if (size() == 0) return 0.0;
-  double drift_sum = 0.0;
-  for (int i = 0; i < size(); ++i)
-    drift_sum +=
-        std::fabs(predict(i) - reference[i]) / std::max(reference[i], 1e-9);
-  return drift_sum / static_cast<double>(size());
-}
-
 }  // namespace cloudalloc::epoch

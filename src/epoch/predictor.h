@@ -4,7 +4,7 @@
 // (Section III) but leaves "estimation, prediction and dynamic changes"
 // out of scope. This module supplies the missing piece for a usable
 // system: per-client one-step-ahead predictors of the request arrival
-// rate, consumed by epoch::Controller.
+// rate, consumed by serve::OnlineDriver.
 #pragma once
 
 #include <memory>
@@ -98,11 +98,10 @@ class HoltPredictor final : public RatePredictor {
   bool seeded_ = false;
 };
 
-/// A per-client array of predictors cloned from one prototype — the shared
-/// prediction machinery of the batch epoch::Controller and the online
-/// serving driver (serve::OnlineDriver). Each clone is seeded with the
-/// matching entry of `seed_rates` (typically the contract-time
-/// lambda_pred) as its first observation.
+/// A per-client array of predictors cloned from one prototype — the
+/// prediction machinery of the serving driver (serve::OnlineDriver). Each
+/// clone is seeded with the matching entry of `seed_rates` (typically the
+/// contract-time lambda_pred) as its first observation.
 class PredictorBank {
  public:
   PredictorBank(const RatePredictor& prototype,
@@ -119,10 +118,6 @@ class PredictorBank {
 
   /// One-step-ahead prediction for client i (finite, > 0).
   double predict(int i) const;
-
-  /// Mean over clients of |predict(i) - reference[i]| / reference[i]: the
-  /// drift statistic both epoch drivers feed their re-solve triggers.
-  double mean_drift(const std::vector<double>& reference) const;
 
  private:
   std::vector<std::unique_ptr<RatePredictor>> predictors_;

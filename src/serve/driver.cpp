@@ -35,11 +35,13 @@ EpochStats OnlineDriver::step(const std::vector<workload::ChurnEvent>& churn,
   bank_.observe_all(observed_rates);
 
   // Clients the external stream already touches keep their stream-given
-  // rates; predictor drift must not double-apply on top of them.
+  // rates; predictor drift must not double-apply on top of them. Ids
+  // outside the universe mark nothing: the server rejects those events.
   std::vector<std::uint8_t> mentioned(
       static_cast<std::size_t>(cloud.num_clients()), 0);
   for (const workload::ChurnEvent& event : churn)
-    mentioned[event.client.index()] = 1;
+    if (event.client.valid() && event.client.value() < cloud.num_clients())
+      mentioned[event.client.index()] = 1;
 
   // Server-applied order: departures, demand changes, arrivals. Derived
   // drift events slot into the middle band, after the external demand

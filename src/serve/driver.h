@@ -1,11 +1,13 @@
-// OnlineDriver: the online counterpart of epoch::Controller. It owns an
-// OnlineServer plus the same per-client prediction machinery the batch
-// controller uses (epoch::PredictorBank) and closes the loop from
-// measurements to events: each epoch it feeds the observed arrival rates
-// to the bank, turns material prediction drift on present clients into
-// DemandChanged events, merges them with the external churn stream
-// (arrivals and departures come from the outside world; rate drift comes
-// from the predictors), and steps the server.
+// OnlineDriver: the decision-epoch loop of Section III. It owns an
+// OnlineServer plus per-client arrival-rate predictors
+// (epoch::PredictorBank) and closes the loop from measurements to events:
+// each epoch it feeds the observed arrival rates to the bank, turns
+// material prediction drift on present clients into DemandChanged events,
+// merges them with the external churn stream (arrivals and departures come
+// from the outside world; rate drift comes from the predictors), and steps
+// the server. A batch epoch over a fixed population is step({}, observed):
+// the server's own churn and profit-gap triggers decide between a warm
+// repair and a full re-solve.
 #pragma once
 
 #include <vector>
@@ -38,7 +40,9 @@ class OnlineDriver {
 
   /// One epoch: observe -> predict -> derive DemandChanged events for
   /// drifted present clients (skipping any client `churn` already
-  /// mentions) -> apply departures, demand changes, then arrivals.
+  /// mentions) -> apply departures, demand changes, then arrivals. Events
+  /// naming an id outside the universe pass through to the server, which
+  /// skips and counts them in EpochStats::invalid_events.
   /// `observed_rates[i]` is client i's measured rate over the epoch that
   /// just ended (absent clients' entries are fed to their predictors too,
   /// so a returning client re-enters with a warm forecast).

@@ -1,10 +1,11 @@
 // OnlineServer: the online serving layer over the per-epoch optimizer.
 //
-// The batch pipeline (epoch::Controller) rebuilds the world and re-solves
-// every epoch. This layer instead keeps ONE long-lived allocation engine
+// A batch solve (alloc::ResourceAllocator::run) builds an allocation from
+// scratch. This layer instead keeps ONE long-lived allocation engine
 // (model::AllocState) over a fixed "universe" cloud of every client that
 // could ever show up, and advances it by applying typed churn events
-// between epochs:
+// between epochs (serve::OnlineDriver derives the rate-drift events from
+// per-client predictors):
 //
 //   - ClientArrived: the arrival is priced by the delta pricer (its
 //     marginal profit at the best feasible placement, MoveEngine::

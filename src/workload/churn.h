@@ -2,8 +2,8 @@
 // of typed events (arrivals, departures, demand changes) over a fixed
 // universe cloud. The paper's instance is a closed population; churn is
 // what turns its per-epoch optimizer into a serving system, so the
-// generator lives here next to the rate traces that drive the batch
-// epoch controller.
+// generator lives here next to the rate traces that drive the predicted
+// decision epochs (serve::OnlineDriver).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Arrival-rate traces for multi-epoch experiments: per-client rate series
 // with a shared diurnal component, optional linear growth, multiplicative
-// noise, and rare demand spikes. Feeds epoch::Controller in the epochs
-// example and the epoch-adaptation bench.
+// noise, and rare demand spikes. Feeds serve::OnlineDriver in the epochs
+// example, `cloudalloc_tool epochs` and the epoch-adaptation bench.
 #pragma once
 
 #include <cstdint>

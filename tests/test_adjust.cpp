@@ -4,6 +4,7 @@
 #include "alloc/adjust_shares.h"
 #include "alloc/initial.h"
 #include "common/rng.h"
+#include "model/alloc_state.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
 #include "workload/scenario.h"
@@ -11,29 +12,29 @@
 namespace cloudalloc::alloc {
 namespace {
 
-using model::Allocation;
+using model::AllocState;
 using model::Placement;
 
 TEST(AdjustShares, ImprovesDeliberatelyBadSplit) {
   const auto cloud = workload::make_tiny_scenario(2);
   AllocatorOptions opts;
-  Allocation alloc(cloud);
+  AllocState state(cloud);
   // Two clients on server 0; client 1 (heavier load) starved, client 0
   // hogging. A rebalance must help.
-  alloc.assign(model::ClientId{0}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.80, 0.80}});
-  alloc.assign(model::ClientId{1}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.20, 0.20}});
-  const double before = model::profit(alloc);
-  const double delta = adjust_resource_shares(alloc, model::ServerId{0}, opts);
+  state.assign(model::ClientId{0}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.80, 0.80}});
+  state.assign(model::ClientId{1}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.20, 0.20}});
+  const double before = state.profit();
+  const double delta = adjust_resource_shares(state, model::ServerId{0}, opts);
   EXPECT_GT(delta, 0.0);
-  EXPECT_NEAR(model::profit(alloc), before + delta, 1e-9);
-  EXPECT_TRUE(model::is_feasible(alloc));
+  EXPECT_NEAR(state.profit(), before + delta, 1e-9);
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 TEST(AdjustShares, NoOpOnEmptyServer) {
   const auto cloud = workload::make_tiny_scenario(2);
   AllocatorOptions opts;
-  Allocation alloc(cloud);
-  EXPECT_DOUBLE_EQ(adjust_resource_shares(alloc, model::ServerId{0}, opts), 0.0);
+  AllocState state(cloud);
+  EXPECT_DOUBLE_EQ(adjust_resource_shares(state, model::ServerId{0}, opts), 0.0);
 }
 
 TEST(AdjustShares, NeverDecreasesProfit) {
@@ -43,35 +44,35 @@ TEST(AdjustShares, NeverDecreasesProfit) {
   const auto cloud = workload::make_scenario(params, 17);
   AllocatorOptions opts;
   Rng rng(17);
-  Allocation alloc = build_initial_solution(cloud, opts, rng);
-  const double before = model::profit(alloc);
-  const double delta = adjust_all_shares(alloc, opts);
+  AllocState state(build_initial_solution(cloud, opts, rng));
+  const double before = state.profit();
+  const double delta = adjust_all_shares(state, opts);
   EXPECT_GE(delta, 0.0);
-  EXPECT_GE(model::profit(alloc), before - 1e-9);
-  EXPECT_TRUE(model::is_feasible(alloc));
+  EXPECT_GE(state.profit(), before - 1e-9);
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 TEST(AdjustDispersion, NoOpForSingleSlice) {
   const auto cloud = workload::make_tiny_scenario(2);
   AllocatorOptions opts;
-  Allocation alloc(cloud);
-  alloc.assign(model::ClientId{0}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.5, 0.5}});
-  EXPECT_DOUBLE_EQ(adjust_dispersion_rates(alloc, model::ClientId{0}, opts), 0.0);
+  AllocState state(cloud);
+  state.assign(model::ClientId{0}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.5, 0.5}});
+  EXPECT_DOUBLE_EQ(adjust_dispersion_rates(state, model::ClientId{0}, opts), 0.0);
 }
 
 TEST(AdjustDispersion, RebalancesLopsidedSplit) {
   const auto cloud = workload::make_tiny_scenario(1);
   AllocatorOptions opts;
-  Allocation alloc(cloud);
+  AllocState state(cloud);
   // Client 0 split 90/10 over two servers with equal shares: convex
   // delay says closer-to-even (weighted by capacity) is better.
-  alloc.assign(model::ClientId{0}, model::ClusterId{0},
+  state.assign(model::ClientId{0}, model::ClusterId{0},
                {Placement{model::ServerId{0}, 0.9, 0.4, 0.4}, Placement{model::ServerId{1}, 0.1, 0.4, 0.4}});
-  const double before = model::profit(alloc);
-  const double delta = adjust_dispersion_rates(alloc, model::ClientId{0}, opts);
+  const double before = state.profit();
+  const double delta = adjust_dispersion_rates(state, model::ClientId{0}, opts);
   EXPECT_GE(delta, 0.0);
-  EXPECT_GE(model::profit(alloc), before - 1e-9);
-  EXPECT_TRUE(model::is_feasible(alloc));
+  EXPECT_GE(state.profit(), before - 1e-9);
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 TEST(AdjustDispersion, DropsNeedlessSecondServer) {
@@ -80,13 +81,13 @@ TEST(AdjustDispersion, DropsNeedlessSecondServer) {
   // must not hurt.
   const auto cloud = workload::make_tiny_scenario(1);
   AllocatorOptions opts;
-  Allocation alloc(cloud);
-  alloc.assign(model::ClientId{0}, model::ClusterId{0},
+  AllocState state(cloud);
+  state.assign(model::ClientId{0}, model::ClusterId{0},
                {Placement{model::ServerId{0}, 0.5, 0.45, 0.45}, Placement{model::ServerId{1}, 0.5, 0.05, 0.05}});
-  const double before = model::profit(alloc);
-  adjust_dispersion_rates(alloc, model::ClientId{0}, opts);
-  EXPECT_GE(model::profit(alloc), before - 1e-9);
-  EXPECT_TRUE(model::is_feasible(alloc));
+  const double before = state.profit();
+  adjust_dispersion_rates(state, model::ClientId{0}, opts);
+  EXPECT_GE(state.profit(), before - 1e-9);
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 TEST(AdjustDispersion, NeverDecreasesProfitOnScenarios) {
@@ -96,12 +97,12 @@ TEST(AdjustDispersion, NeverDecreasesProfitOnScenarios) {
   const auto cloud = workload::make_scenario(params, 23);
   AllocatorOptions opts;
   Rng rng(23);
-  Allocation alloc = build_initial_solution(cloud, opts, rng);
-  const double before = model::profit(alloc);
-  const double delta = adjust_all_dispersions(alloc, opts);
+  AllocState state(build_initial_solution(cloud, opts, rng));
+  const double before = state.profit();
+  const double delta = adjust_all_dispersions(state, opts);
   EXPECT_GE(delta, 0.0);
-  EXPECT_GE(model::profit(alloc), before - 1e-9);
-  EXPECT_TRUE(model::is_feasible(alloc));
+  EXPECT_GE(state.profit(), before - 1e-9);
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 class AdjustProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -113,15 +114,15 @@ TEST_P(AdjustProperty, RepeatedAdjustmentMonotoneAndFeasible) {
   const auto cloud = workload::make_scenario(params, GetParam());
   AllocatorOptions opts;
   Rng rng(GetParam());
-  Allocation alloc = build_initial_solution(cloud, opts, rng);
-  double profit_now = model::profit(alloc);
+  AllocState state(build_initial_solution(cloud, opts, rng));
+  double profit_now = state.profit();
   for (int round = 0; round < 3; ++round) {
-    adjust_all_shares(alloc, opts);
-    adjust_all_dispersions(alloc, opts);
-    const double next = model::profit(alloc);
+    adjust_all_shares(state, opts);
+    adjust_all_dispersions(state, opts);
+    const double next = state.profit();
     EXPECT_GE(next, profit_now - 1e-9);
     profit_now = next;
-    ASSERT_TRUE(model::is_feasible(alloc));
+    ASSERT_TRUE(model::is_feasible(state.ledger()));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "alloc/allocator.h"
 #include "alloc/reassign.h"
+#include "model/alloc_state.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
 #include "workload/scenario.h"
@@ -58,8 +59,8 @@ TEST(Admission, DropPassIsNoOpWhenDisabled) {
   params.num_clients = 15;
   const auto cloud = workload::make_scenario(params, 211);
   AllocatorOptions opts;  // allow_rejection = false
-  auto result = ResourceAllocator(opts).run(cloud);
-  EXPECT_DOUBLE_EQ(drop_unprofitable_clients(result.allocation, opts), 0.0);
+  model::AllocState state(ResourceAllocator(opts).run(cloud).allocation);
+  EXPECT_DOUBLE_EQ(drop_unprofitable_clients(state, opts), 0.0);
 }
 
 TEST(Admission, DropPassRemovesOnlyNetLosers) {
@@ -69,16 +70,15 @@ TEST(Admission, DropPassRemovesOnlyNetLosers) {
   params.base_price_hi = 0.02;
   const auto cloud = workload::make_scenario(params, 213);
   AllocatorOptions serve_all;
-  auto result = ResourceAllocator(serve_all).run(cloud);
+  model::AllocState state(ResourceAllocator(serve_all).run(cloud).allocation);
 
   AllocatorOptions reject = serve_all;
   reject.allow_rejection = true;
-  const double before = model::profit(result.allocation);
-  const double delta =
-      drop_unprofitable_clients(result.allocation, reject);
+  const double before = state.profit();
+  const double delta = drop_unprofitable_clients(state, reject);
   EXPECT_GE(delta, 0.0);
-  EXPECT_NEAR(model::profit(result.allocation), before + delta, 1e-9);
-  EXPECT_TRUE(model::is_feasible(result.allocation));
+  EXPECT_NEAR(state.profit(), before + delta, 1e-9);
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 }  // namespace

@@ -258,7 +258,7 @@ std::optional<InsertionPlan> reference_insertion(
       const auto need = [&](WorkRate cap, Work alpha, WorkRate slack_work) {
         return std::max(queueing::gps_min_share(lambda, cap, alpha, headroom),
                         preferred_share(lambda, 1.0, cap, alpha, zc,
-                                        slack_work, opts))
+                                        slack_work))
             .value();
       };
       const bool unclamped_p =

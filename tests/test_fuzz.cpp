@@ -204,21 +204,20 @@ TEST(ProfitCacheFuzz, IncrementalMatchesScratchUnderRandomizedPasses) {
       case 1:
         if (alloc.is_assigned(i)) alloc.clear(i);
         break;
-      case 2:
-        alloc::adjust_all_shares(alloc, opts);
-        break;
-      case 3:
-        alloc::adjust_all_dispersions(alloc, opts);
-        break;
-      case 4: {
+      default: {  // one engine pass: adopt the ledger, run, hand it back
         model::AllocState state(std::move(alloc));
-        alloc::adjust_server_power(state, opts);
+        if (action == 2) {
+          alloc::adjust_all_shares(state, opts);
+        } else if (action == 3) {
+          alloc::adjust_all_dispersions(state, opts);
+        } else if (action == 4) {
+          alloc::adjust_server_power(state, opts);
+        } else {
+          alloc::reassign_pass_snapshot(state, opts);
+        }
         alloc = std::move(state).release();
         break;
       }
-      default:
-        alloc::reassign_pass_snapshot(alloc, opts);
-        break;
     }
     if (step % 7 == 0) expect_cache_agrees(step);
   }

@@ -1,7 +1,8 @@
 // Tests of the online serving layer: zero-churn bit-identity against the
 // batch solver, admission threshold + hysteresis behavior, thread-count
 // determinism of a whole churn run, migration-cost gating, invalid churn
-// events, and the warm-vs-full-resolve profit contract.
+// events, the warm-vs-full-resolve profit contract, and the predictor-
+// driven epoch loop (OnlineDriver) over rate traces.
 #include "serve/online.h"
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "serve/driver.h"
 #include "workload/churn.h"
 #include "workload/scenario.h"
+#include "workload/trace.h"
 
 namespace cloudalloc::serve {
 namespace {
@@ -476,11 +479,126 @@ TEST(OnlineDriverTest, DerivesDemandChangesFromPredictionDrift) {
     observed.push_back(client.lambda_pred * 1.5);
   const EpochStats stats = driver.step({}, observed);
   EXPECT_GT(stats.demand_changes, 0);
+  // Every client changed at once: far past the churn-fraction trigger.
+  EXPECT_TRUE(stats.full_resolve);
   EXPECT_TRUE(model::is_feasible(driver.server().allocation()));
 
   // Steady observations afterwards: drift below the gate, no events.
   const EpochStats quiet = driver.step({}, observed);
   EXPECT_EQ(quiet.demand_changes, 0);
+}
+
+TEST(OnlineDriverTest, OutOfRangeClientIdsAreCountedNotIndexed) {
+  // Departures naming -1, N and 1000000 can neither be marked nor applied:
+  // the driver passes them on, the server skips and counts them, and the
+  // epoch lands exactly where it lands without them.
+  const model::Cloud universe = make_cloud();
+  const int n = universe.num_clients();
+  std::vector<double> observed;  // every fourth client's demand jumps 30%
+  for (const auto& client : universe.clients())
+    observed.push_back(client.lambda_pred *
+                       (client.id.value() % 4 == 0 ? 1.3 : 1.0));
+
+  OnlineDriver clean(make_cloud(), all_clients(universe),
+                     epoch::EwmaPredictor(1.0, 1.0));
+  OnlineDriver noisy(make_cloud(), all_clients(universe),
+                     epoch::EwmaPredictor(1.0, 1.0));
+  clean.start();
+  noisy.start();
+  const EpochStats want = clean.step({}, observed);
+  std::vector<workload::ChurnEvent> bad;
+  for (const ClientId i : {ClientId{-1}, ClientId{n}, ClientId{1000000}})
+    bad.push_back({workload::ChurnEvent::Kind::kDeparture, i, 0.0});
+  const EpochStats got = noisy.step(bad, observed);
+
+  EXPECT_EQ(got.invalid_events, 3);
+  EXPECT_EQ(want.invalid_events, 0);
+  EXPECT_GT(got.demand_changes, 0);
+  EXPECT_EQ(got.demand_changes, want.demand_changes);
+  EXPECT_EQ(got.full_resolve, want.full_resolve);
+  EXPECT_EQ(got.profit, want.profit);  // bitwise
+  expect_same_allocation(noisy.server().allocation(),
+                         clean.server().allocation());
+}
+
+TEST(OnlineDriverTest, CorruptObservationsKeepForecastsFiniteAndPositive) {
+  // Prediction-error injection: a broken meter reports NaN, a counter
+  // glitch reports a negative rate, an overflow reports +inf. None of it
+  // may reach the optimizer: every rate stays finite and positive, the
+  // epoch completes, and the allocation stays feasible.
+  const model::Cloud universe = make_cloud();
+  OnlineDriver driver(make_cloud(), all_clients(universe),
+                      epoch::EwmaPredictor(0.5, 1.0));
+  driver.start();
+  std::vector<double> observed(
+      static_cast<std::size_t>(universe.num_clients()), 1.0);
+  observed[3] = std::numeric_limits<double>::quiet_NaN();
+  observed[7] = -4.0;
+  observed[11] = std::numeric_limits<double>::infinity();
+  const EpochStats stats = driver.step({}, observed);
+  // A derived event carrying a non-finite or non-positive rate would be
+  // skipped as invalid, so this also pins the forecasts themselves.
+  EXPECT_EQ(stats.invalid_events, 0);
+  for (const auto& client : driver.server().cloud().clients()) {
+    EXPECT_TRUE(std::isfinite(client.lambda_pred)) << client.id;
+    EXPECT_GT(client.lambda_pred, 0.0) << client.id;
+  }
+  EXPECT_TRUE(model::is_feasible(driver.server().allocation()));
+}
+
+TEST(OnlineDriverTest, SeededTraceDecisionsAreBitwiseRepeatable) {
+  // Two drivers over one seeded drifting trace make the same warm/full
+  // decisions and land on bitwise-equal profits: the driver is a pure
+  // function of its observations.
+  const model::Cloud universe = make_cloud(20);
+  workload::TraceParams trace_params;
+  trace_params.epochs = 6;
+  trace_params.amplitude = 0.35;
+  trace_params.spike_probability = 0.05;
+  const auto trace = workload::make_rate_trace(universe, trace_params, 55);
+
+  OnlineDriver a(make_cloud(20), all_clients(universe),
+                 epoch::HoltPredictor(0.6, 0.3, 1.0));
+  OnlineDriver b(make_cloud(20), all_clients(universe),
+                 epoch::HoltPredictor(0.6, 0.3, 1.0));
+  EXPECT_EQ(a.start().profit, b.start().profit);
+  int full = 0, warm = 0;
+  for (const auto& observed : trace) {
+    const EpochStats ra = a.step({}, observed);
+    const EpochStats rb = b.step({}, observed);
+    EXPECT_EQ(ra.full_resolve, rb.full_resolve);
+    EXPECT_EQ(ra.demand_changes, rb.demand_changes);
+    EXPECT_EQ(ra.profit, rb.profit);  // bitwise
+    (ra.full_resolve ? full : warm) += 1;
+  }
+  // The trace must exercise BOTH branches, or this pin proves less than
+  // it claims.
+  EXPECT_GT(full, 0);
+  EXPECT_GT(warm, 0);
+  expect_same_allocation(a.server().allocation(), b.server().allocation());
+}
+
+TEST(OnlineDriverTest, DiurnalTraceStaysFeasibleAndConsistent) {
+  // A diurnal trace with noise and spikes, end to end: after every epoch
+  // the allocation passes the independent feasibility audit and the engine
+  // state its from-scratch invariant check.
+  const model::Cloud universe = make_cloud();
+  workload::TraceParams trace_params;
+  trace_params.epochs = 8;
+  trace_params.spike_probability = 0.05;
+  const auto trace = workload::make_rate_trace(universe, trace_params, 9);
+
+  OnlineDriver driver(make_cloud(), all_clients(universe),
+                      epoch::HoltPredictor(0.6, 0.3, 1.0));
+  driver.start();
+  for (const auto& observed : trace) {
+    const EpochStats stats = driver.step({}, observed);
+    EXPECT_GT(stats.profit, 0.0) << "epoch " << stats.epoch;
+    EXPECT_TRUE(model::check_feasibility(driver.server().allocation()).empty())
+        << "epoch " << stats.epoch;
+    driver.server().state().check_invariants();
+  }
+  EXPECT_EQ(driver.server().history().size(), trace.size() + 1);
 }
 
 }  // namespace

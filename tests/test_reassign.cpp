@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "dist/parallel_eval.h"
 #include "dist/thread_pool.h"
+#include "model/alloc_state.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
 #include "workload/scenario.h"
@@ -14,6 +15,7 @@ namespace cloudalloc::alloc {
 namespace {
 
 using model::Allocation;
+using model::AllocState;
 
 TEST(Reassign, ImprovesBadClusterAssignment) {
   workload::ScenarioParams params;
@@ -23,12 +25,12 @@ TEST(Reassign, ImprovesBadClusterAssignment) {
   AllocatorOptions opts;
   // Cram everyone into cluster 0.
   std::vector<model::ClusterId> all_zero(30, model::ClusterId{0});
-  Allocation alloc = build_from_assignment(cloud, all_zero, opts);
-  const double before = model::profit(alloc);
-  const double delta = reassign_pass(alloc, opts);
+  AllocState state(build_from_assignment(cloud, all_zero, opts));
+  const double before = state.profit();
+  const double delta = reassign_pass(state, opts);
   EXPECT_GT(delta, 0.0);
-  EXPECT_GT(model::profit(alloc), before);
-  EXPECT_TRUE(model::is_feasible(alloc));
+  EXPECT_GT(state.profit(), before);
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 TEST(Reassign, RetriesUnassignedClients) {
@@ -39,16 +41,16 @@ TEST(Reassign, RetriesUnassignedClients) {
   AllocatorOptions opts;
   // Everyone in cluster 0 overloads it, leaving some unassigned.
   std::vector<model::ClusterId> all_zero(40, model::ClusterId{0});
-  Allocation alloc = build_from_assignment(cloud, all_zero, opts);
+  AllocState state(build_from_assignment(cloud, all_zero, opts));
   int unassigned_before = 0;
   for (model::ClientId i : cloud.client_ids())
-    if (!alloc.is_assigned(i)) ++unassigned_before;
-  reassign_until_steady(alloc, opts);
+    if (!state.ledger().is_assigned(i)) ++unassigned_before;
+  reassign_until_steady(state, opts);
   int unassigned_after = 0;
   for (model::ClientId i : cloud.client_ids())
-    if (!alloc.is_assigned(i)) ++unassigned_after;
+    if (!state.ledger().is_assigned(i)) ++unassigned_after;
   EXPECT_LE(unassigned_after, unassigned_before);
-  EXPECT_TRUE(model::is_feasible(alloc));
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 TEST(Reassign, SteadyStateIsFixedPoint) {
@@ -57,11 +59,11 @@ TEST(Reassign, SteadyStateIsFixedPoint) {
   const auto cloud = workload::make_scenario(params, 47);
   AllocatorOptions opts;
   Rng rng(47);
-  Allocation alloc = build_initial_solution(cloud, opts, rng);
-  reassign_until_steady(alloc, opts, 20);
-  const double steady = model::profit(alloc);
-  const double extra = reassign_pass(alloc, opts);
-  EXPECT_NEAR(model::profit(alloc), steady, 1e-6 * std::abs(steady) + 1e-6);
+  AllocState state(build_initial_solution(cloud, opts, rng));
+  reassign_until_steady(state, opts, 20);
+  const double steady = state.profit();
+  const double extra = reassign_pass(state, opts);
+  EXPECT_NEAR(state.profit(), steady, 1e-6 * std::abs(steady) + 1e-6);
   EXPECT_LE(extra, 1e-4 * std::max(std::abs(steady), 1.0));
 }
 
@@ -72,12 +74,12 @@ TEST(ReassignSnapshot, ImprovesBadClusterAssignment) {
   const auto cloud = workload::make_scenario(params, 41);
   AllocatorOptions opts;
   std::vector<model::ClusterId> all_zero(30, model::ClusterId{0});
-  Allocation alloc = build_from_assignment(cloud, all_zero, opts);
-  const double before = model::profit(alloc);
-  const double delta = reassign_pass_snapshot(alloc, opts);
+  AllocState state(build_from_assignment(cloud, all_zero, opts));
+  const double before = state.profit();
+  const double delta = reassign_pass_snapshot(state, opts);
   EXPECT_GT(delta, 0.0);
-  EXPECT_GT(model::profit(alloc), before);
-  EXPECT_TRUE(model::is_feasible(alloc));
+  EXPECT_GT(state.profit(), before);
+  EXPECT_TRUE(model::is_feasible(state.ledger()));
 }
 
 TEST(ReassignSnapshot, IdenticalInlineAndPooled) {
@@ -87,15 +89,17 @@ TEST(ReassignSnapshot, IdenticalInlineAndPooled) {
   const auto cloud = workload::make_scenario(params, 43);
   AllocatorOptions opts;
   std::vector<model::ClusterId> all_zero(35, model::ClusterId{0});
-  Allocation inline_alloc = build_from_assignment(cloud, all_zero, opts);
-  Allocation pooled_alloc = inline_alloc.clone();
+  AllocState inline_state(build_from_assignment(cloud, all_zero, opts));
+  AllocState pooled_state(inline_state.ledger().clone());
 
-  const double d1 = reassign_pass_snapshot(inline_alloc, opts);
+  const double d1 = reassign_pass_snapshot(inline_state, opts);
   dist::ThreadPool pool(4);
   dist::ParallelEval eval(&pool);
-  const double d2 = reassign_pass_snapshot(pooled_alloc, opts, eval);
+  const double d2 = reassign_pass_snapshot(pooled_state, opts, eval);
 
   EXPECT_DOUBLE_EQ(d1, d2);
+  const Allocation& inline_alloc = inline_state.ledger();
+  const Allocation& pooled_alloc = pooled_state.ledger();
   for (model::ClientId i : cloud.client_ids()) {
     ASSERT_EQ(inline_alloc.is_assigned(i), pooled_alloc.is_assigned(i));
     if (!inline_alloc.is_assigned(i)) continue;
@@ -118,14 +122,14 @@ TEST(ReassignSnapshot, MonotoneOnGreedyStart) {
   const auto cloud = workload::make_scenario(params, 53);
   AllocatorOptions opts;
   Rng rng(53);
-  Allocation alloc = build_initial_solution(cloud, opts, rng);
-  double profit_now = model::profit(alloc);
+  AllocState state(build_initial_solution(cloud, opts, rng));
+  double profit_now = state.profit();
   for (int round = 0; round < 3; ++round) {
-    reassign_pass_snapshot(alloc, opts);
-    const double next = model::profit(alloc);
+    reassign_pass_snapshot(state, opts);
+    const double next = state.profit();
     EXPECT_GE(next, profit_now - 1e-9);
     profit_now = next;
-    ASSERT_TRUE(model::is_feasible(alloc));
+    ASSERT_TRUE(model::is_feasible(state.ledger()));
   }
 }
 
@@ -143,14 +147,14 @@ TEST_P(ReassignProperty, MonotoneAndFeasible) {
   for (auto& k : assignment)
     k = static_cast<model::ClusterId>(
         rng.uniform_int(0, cloud.num_clusters() - 1));
-  Allocation alloc = build_from_assignment(cloud, assignment, opts);
-  double profit_now = model::profit(alloc);
+  AllocState state(build_from_assignment(cloud, assignment, opts));
+  double profit_now = state.profit();
   for (int round = 0; round < 3; ++round) {
-    reassign_pass(alloc, opts);
-    const double next = model::profit(alloc);
+    reassign_pass(state, opts);
+    const double next = state.profit();
     EXPECT_GE(next, profit_now - 1e-9);
     profit_now = next;
-    ASSERT_TRUE(model::is_feasible(alloc));
+    ASSERT_TRUE(model::is_feasible(state.ledger()));
   }
 }
 

@@ -127,7 +127,7 @@ std::optional<double> ref_size_share(ArrivalRate arrivals, double psi,
       arrivals, cap, alpha, ArrivalRate{opts.stability_headroom});
   if (floor_share.value() > free_share + kEps) return std::nullopt;
   const Share share =
-      alloc::preferred_share(arrivals, psi, cap, alpha, zc, slack_work, opts);
+      alloc::preferred_share(arrivals, psi, cap, alpha, zc, slack_work);
   return clamp(share.value(), floor_share.value(), free_share);
 }
 
