@@ -103,12 +103,15 @@ void BM_AssignDistribute(benchmark::State& state) {
   for (int ci = 0; ci < 25; ++ci) {
     const model::ClientId i{ci};
     auto plan =
-        alloc::assign_distribute(alloc_state, i, model::ClusterId{0}, opts);
+        alloc::assign_distribute(alloc_state.residual(), i,
+                                 model::ClusterId{0}, opts);
     if (plan)
       alloc_state.assign(i, model::ClusterId{0}, std::move(plan->placements));
   }
   for (auto _ : state) {
-    auto plan = alloc::assign_distribute(alloc_state, model::ClientId{30}, model::ClusterId{0}, opts);
+    auto plan = alloc::assign_distribute(alloc_state.residual(),
+                                         model::ClientId{30},
+                                         model::ClusterId{0}, opts);
     benchmark::DoNotOptimize(plan);
   }
 }
@@ -130,7 +133,7 @@ struct MovePricingFixture {
         alloc_state(cloud) {
     for (int ci = 0; ci < 60; ++ci) {
       const model::ClientId i{ci};
-      auto plan = alloc::best_insertion(alloc_state, i, opts);
+      auto plan = alloc::best_insertion(alloc_state.residual(), i, opts);
       if (plan) alloc_state.assign(i, plan->cluster, plan->placements);
     }
     model::profit(alloc_state);  // settle caches before snapshotting
@@ -138,7 +141,7 @@ struct MovePricingFixture {
     old_ps = alloc_state.placements(mover);
     const model::ClusterId other{(alloc_state.cluster_of(mover).value() + 1) %
                                  cloud.num_clusters()};
-    model::ResidualView probe(alloc_state);
+    model::ResidualView probe = alloc_state.residual();
     probe.remove_client(mover, old_ps);
     auto plan = alloc::assign_distribute(probe, mover, other, opts);
     new_cluster = other;
@@ -170,7 +173,7 @@ BENCHMARK(BM_MovePricing_CloneEvaluate);
 void BM_MovePricing_DeltaPrice(benchmark::State& state) {
   // The same move priced on a ResidualView via the delta pricer.
   MovePricingFixture fx;
-  model::ResidualView view(fx.alloc_state);
+  model::ResidualView view = fx.alloc_state.residual();
   for (auto _ : state) {
     const double delta =
         alloc::replace_delta(view, fx.mover, fx.old_ps, fx.new_ps);
@@ -252,7 +255,7 @@ void BM_Baselines_MC_CloneEvaluate(benchmark::State& state) {
   const auto old_ps = base.placements(mover);
   const model::ClusterId other{(base.cluster_of(mover).value() + 1) %
                                fx.cloud.num_clusters()};
-  model::ResidualView probe(base);
+  model::ResidualView probe = base.residual();
   probe.remove_client(mover, old_ps);
   const auto plan = alloc::assign_distribute(probe, mover, other, fx.opts);
   const auto new_ps = plan ? plan->placements : old_ps;

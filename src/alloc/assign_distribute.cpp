@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <type_traits>
 
 #include "alloc/share_policy.h"
 #include "common/check.h"
@@ -17,7 +16,6 @@
 namespace cloudalloc::alloc {
 namespace {
 
-using model::Allocation;
 using model::Client;
 using model::ClientId;
 using model::Cloud;
@@ -149,12 +147,11 @@ struct Scratch {
 /// that fails it has a score row infeasible past g = 0 — a row
 /// dp_distribute passes through unchanged and build_plan skips — and
 /// dropping it cannot change the plan.
-template <class State>
-bool fits_one_quantum(const State& state, ServerId j, const Probe& p,
+bool fits_one_quantum(const ResidualView& view, ServerId j, const Probe& p,
                       Scratch& scratch) {
   const ClassNeeds& n = scratch.needs_of(p, j);
-  return floor_fits(n.floor1_p, state.free_phi_p(j)) &&
-         floor_fits(n.floor1_n, state.free_phi_n(j));
+  return floor_fits(n.floor1_p, view.free_phi_p(j)) &&
+         floor_fits(n.floor1_n, view.free_phi_n(j));
 }
 
 /// Fills the (server, quanta) score table for `cands`. Three passes per
@@ -164,8 +161,7 @@ bool fits_one_quantum(const State& state, ServerId j, const Probe& p,
 /// The arithmetic is operation-for-operation the scalar
 /// gps_service_rate / mm1_response_time form, so batching never changes a
 /// score bit.
-template <class State>
-void score_rows(const State& state, const Probe& p,
+void score_rows(const ResidualView& view, const Probe& p,
                 const std::vector<ServerId>& cands,
                 std::vector<std::vector<SliceOption>>& options,
                 std::vector<std::vector<double>>& scores, Scratch& scratch) {
@@ -182,9 +178,9 @@ void score_rows(const State& state, const Probe& p,
   for (std::size_t idx = 0; idx < cands.size(); ++idx) {
     const ServerId j = cands[idx];
     const ServerClass& sc = p.cloud.server_class_of(j);
-    const double free_p = state.free_phi_p(j);
-    const double free_n = state.free_phi_n(j);
-    const bool was_active = state.active(j);
+    const double free_p = view.free_phi_p(j);
+    const double free_n = view.free_phi_n(j);
+    const bool was_active = view.active(j);
 
     // Row reuse: a row reads its server only through the class, the
     // activity and the two free shares. Both the stability floor and the
@@ -279,11 +275,13 @@ InsertionPlan build_plan(const Client& c, const Cloud& cloud, ClientId i,
   return plan;
 }
 
-template <class State>
-std::optional<InsertionPlan> assign_distribute_impl(
-    const State& state, ClientId i, ClusterId k, const AllocatorOptions& opts,
-    const InsertionConstraints& constraints, InsertionStats* stats) {
-  const Cloud& cloud = state.cloud();
+}  // namespace
+
+std::optional<InsertionPlan> assign_distribute(
+    const ResidualView& view, ClientId i, ClusterId k,
+    const AllocatorOptions& opts, const InsertionConstraints& constraints,
+    InsertionStats* stats) {
+  const Cloud& cloud = view.cloud();
   const Client& c = cloud.client(i);
   const auto& fn = cloud.utility_of(i);
   const int G = opts.psi_grid;
@@ -306,20 +304,19 @@ std::optional<InsertionPlan> assign_distribute_impl(
   thread_local std::vector<ServerId> cands;
   cands.clear();
   cands.reserve(cluster_servers.size());
-  // The view batches the disk test over the whole cluster in one sweep
-  // (SIMD, see ResidualView::screen_free_disk): the same comparison, so
-  // the candidate list cannot differ from the scalar test's.
+  // The disk test runs batched over the whole cluster in one sweep (SIMD,
+  // see ResidualView::screen_free_disk) — the same comparison, so the
+  // candidate list cannot differ from the scalar test's, which remains
+  // the fallback for a cluster whose server ids are not contiguous.
   thread_local std::vector<std::uint8_t> disk_ok;
-  bool screened = false;
-  if constexpr (std::is_same_v<State, ResidualView>)
-    screened = state.screen_free_disk(k, c.disk, kEps, disk_ok);
+  const bool screened = view.screen_free_disk(k, c.disk, kEps, disk_ok);
   for (std::size_t idx = 0; idx < cluster_servers.size(); ++idx) {
     const ServerId j = cluster_servers[idx];
-    if (screened ? disk_ok[idx] == 0 : state.free_disk(j) + kEps < c.disk)
+    if (screened ? disk_ok[idx] == 0 : view.free_disk(j) + kEps < c.disk)
       continue;
     if (j == constraints.exclude) continue;
-    if (!constraints.allow_inactive && !state.active(j)) continue;
-    if (!fits_one_quantum(state, j, p, scratch)) continue;
+    if (!constraints.allow_inactive && !view.active(j)) continue;
+    if (!fits_one_quantum(view, j, p, scratch)) continue;
     cands.push_back(j);
   }
   if (cands.empty()) return std::nullopt;
@@ -327,18 +324,17 @@ std::optional<InsertionPlan> assign_distribute_impl(
 
   thread_local std::vector<std::vector<SliceOption>> options;
   thread_local std::vector<std::vector<double>> scores;
-  score_rows(state, p, cands, options, scores, scratch);
+  score_rows(view, p, cands, options, scores, scratch);
   const auto dp = opt::dp_distribute(scores, G);
   if (!dp) return std::nullopt;
   return build_plan(c, cloud, i, k, G, cands, options, *dp);
 }
 
-template <class State>
-std::optional<InsertionPlan> best_insertion_impl(
-    const State& state, ClientId i, const AllocatorOptions& opts,
+std::optional<InsertionPlan> best_insertion(
+    const ResidualView& view, ClientId i, const AllocatorOptions& opts,
     const InsertionConstraints& constraints, InsertionStats* stats) {
   std::optional<InsertionPlan> best;
-  const int num_clusters = state.cloud().num_clusters();
+  const int num_clusters = view.cloud().num_clusters();
   const int fanout = opts.cluster_fanout;
   if (fanout > 0 && fanout < num_clusters) {
     // Deterministic probe window (see AllocatorOptions::cluster_fanout): a
@@ -354,45 +350,16 @@ std::optional<InsertionPlan> best_insertion_impl(
     for (int t = 0; t < fanout; ++t) {
       const ClusterId k{static_cast<int>(
           (start + static_cast<std::uint64_t>(t)) % kk)};
-      auto plan =
-          assign_distribute_impl(state, i, k, opts, constraints, stats);
+      auto plan = assign_distribute(view, i, k, opts, constraints, stats);
       if (plan && (!best || plan->score > best->score)) best = std::move(plan);
     }
     return best;
   }
-  for (ClusterId k : state.cloud().cluster_ids()) {
-    auto plan = assign_distribute_impl(state, i, k, opts, constraints, stats);
+  for (ClusterId k : view.cloud().cluster_ids()) {
+    auto plan = assign_distribute(view, i, k, opts, constraints, stats);
     if (plan && (!best || plan->score > best->score)) best = std::move(plan);
   }
   return best;
-}
-
-}  // namespace
-
-std::optional<InsertionPlan> assign_distribute(
-    const Allocation& alloc, ClientId i, ClusterId k,
-    const AllocatorOptions& opts, const InsertionConstraints& constraints,
-    InsertionStats* stats) {
-  return assign_distribute_impl(alloc, i, k, opts, constraints, stats);
-}
-
-std::optional<InsertionPlan> assign_distribute(
-    const ResidualView& view, ClientId i, ClusterId k,
-    const AllocatorOptions& opts, const InsertionConstraints& constraints,
-    InsertionStats* stats) {
-  return assign_distribute_impl(view, i, k, opts, constraints, stats);
-}
-
-std::optional<InsertionPlan> best_insertion(
-    const Allocation& alloc, ClientId i, const AllocatorOptions& opts,
-    const InsertionConstraints& constraints, InsertionStats* stats) {
-  return best_insertion_impl(alloc, i, opts, constraints, stats);
-}
-
-std::optional<InsertionPlan> best_insertion(
-    const ResidualView& view, ClientId i, const AllocatorOptions& opts,
-    const InsertionConstraints& constraints, InsertionStats* stats) {
-  return best_insertion_impl(view, i, opts, constraints, stats);
 }
 
 }  // namespace cloudalloc::alloc

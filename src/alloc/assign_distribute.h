@@ -24,20 +24,17 @@
 // other server of the cluster is scored — rows with equal inputs once —
 // and enters the DP, so the plan is exact for the grid.
 //
-// Both the full Allocation and the flat ResidualView (model/residual.h)
-// satisfy the state interface, so speculative probes can run against a
-// cheap SoA snapshot without cloning an Allocation.
+// Probes read the cluster's state from a ResidualView (model/residual.h):
+// an Allocation's own (Allocation::residual(), AllocState::view()) or a
+// speculative copy, so no probe needs an Allocation clone.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "alloc/options.h"
-#include "model/allocation.h"
-
-namespace cloudalloc::model {
-class ResidualView;
-}  // namespace cloudalloc::model
+#include "model/placement.h"
+#include "model/residual.h"
 
 namespace cloudalloc::alloc {
 
@@ -66,26 +63,14 @@ struct InsertionStats {
 };
 
 /// Evaluates the best insertion of (currently unassigned) client i into
-/// cluster k against the allocation's current state. Returns nullopt when
-/// the cluster cannot feasibly host the client.
-std::optional<InsertionPlan> assign_distribute(
-    const model::Allocation& alloc, model::ClientId i, model::ClusterId k,
-    const AllocatorOptions& opts, const InsertionConstraints& constraints = {},
-    InsertionStats* stats = nullptr);
-
-/// Same evaluation against a ResidualView snapshot — no Allocation needed.
+/// cluster k against the residuals in `view`. Returns nullopt when the
+/// cluster cannot feasibly host the client.
 std::optional<InsertionPlan> assign_distribute(
     const model::ResidualView& view, model::ClientId i, model::ClusterId k,
     const AllocatorOptions& opts, const InsertionConstraints& constraints = {},
     InsertionStats* stats = nullptr);
 
 /// Convenience: best insertion across all clusters (nullopt if none fits).
-std::optional<InsertionPlan> best_insertion(
-    const model::Allocation& alloc, model::ClientId i,
-    const AllocatorOptions& opts, const InsertionConstraints& constraints = {},
-    InsertionStats* stats = nullptr);
-
-/// best_insertion against a ResidualView snapshot.
 std::optional<InsertionPlan> best_insertion(
     const model::ResidualView& view, model::ClientId i,
     const AllocatorOptions& opts, const InsertionConstraints& constraints = {},

@@ -55,7 +55,7 @@ double insertion_delta(const ResidualView& view, ClientId i,
     const ServerClass& sc = cloud.server_class_of(p.server);
     const double load_before = view.proc_load(p.server);
     const double before = cost_of(sc, view.active(p.server), load_before);
-    // Matches Allocation::add_footprint's load update.
+    // Matches ResidualView::add_client's load update.
     const double load_after = load_before + p.psi * c.lambda_pred * c.alpha_p;
     const double after = cost_of(sc, true, load_after);
     delta -= after - before;
@@ -74,7 +74,7 @@ double removal_delta(const ResidualView& view, ClientId i,
     const int hosted = view.hosted_clients(p.server);
     const double load_before = view.proc_load(p.server);
     const double before = cost_of(sc, hosted > 0 || keeps, load_before);
-    // Matches Allocation::remove_footprint, including its reset-to-zero
+    // Matches ResidualView::remove_client, including its reset-to-zero
     // guard when the server empties.
     const double load_after =
         hosted - 1 == 0 ? 0.0

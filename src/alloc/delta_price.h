@@ -13,10 +13,11 @@
 //           - sum_{touched j} (cost_j(after) - cost_j(before))
 //
 // where cost_j = x_j * (P0_j + P1_j * clamp(load_j / Cp_j, 0, 1)). The
-// per-term arithmetic mirrors model/evaluator.cpp and the Allocation
-// footprint updates operation-for-operation (including the zero reset when
-// a server empties), so the delta agrees with the clone-and-evaluate
-// oracle to rounding (tests assert 1e-9 on fuzzed scenarios).
+// per-term arithmetic mirrors model/evaluator.cpp and ResidualView's
+// add_client/remove_client — the updates every Allocation applies to its
+// aggregates — operation-for-operation (including the zero reset when a
+// server empties), so the delta agrees with the clone-and-evaluate oracle
+// to rounding (tests assert 1e-9 on fuzzed scenarios).
 //
 // The reassignment passes use these to pre-screen moves against a shared
 // snapshot before paying for an Allocation mutation, and the micro bench

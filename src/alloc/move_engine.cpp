@@ -80,11 +80,12 @@ bool MoveEngine::commit(ClientId i, bool was_assigned,
   state_.assign(i, plan.cluster, plan.placements);
   const double after = state_.profit();
   if (after + 1e-12 < profit_now + penalty) {
-    // Roll back through the engine: each operation resyncs the touched
-    // view entries from the ledger's post-rollback aggregates, which a
-    // remove/add replay would miss by ulps. No re-evaluation here — the
-    // restored profit equals profit_now up to the round trip's rounding,
-    // and the next exact evaluation repairs the caches anyway.
+    // Roll back through the engine: clear and re-assign the old
+    // placements. The aggregates — the view the next probe reads — come
+    // back within ulps of their pre-move values, not bitwise (a remove/add
+    // round trip rounds). No re-evaluation here — the restored profit
+    // equals profit_now up to that rounding, and the next exact
+    // evaluation repairs the caches anyway.
     state_.clear(i);
     if (was_assigned) state_.assign(i, old_cluster, std::move(old_placements));
     return false;

@@ -18,7 +18,7 @@ namespace cloudalloc::alloc {
 /// on). Also retries clients that are currently unassigned — except those
 /// outside opts.insertable, which stay the serving layer's to admit.
 /// Moves are probed
-/// and delta-priced against a ResidualView mirror of the allocation, so a
+/// and delta-priced against the engine's ResidualView, so a
 /// client with no (worthwhile) move costs no Allocation mutation and no
 /// profit-cache repair. Returns the delta.
 double reassign_pass(model::AllocState& state, const AllocatorOptions& opts);

@@ -214,8 +214,8 @@ double turn_off_servers(AllocState& state, ClusterId k,
     // Probe the shutdown on the live view: evict and re-insert the
     // candidate's clients one at a time, pricing each step with the delta
     // pricer and recording an Undo per step; restoring them in reverse
-    // leaves the view bitwise as it was. The view mirrors the shrunk
-    // ledger bitwise, so the plans transfer verbatim to the replay below.
+    // leaves the view bitwise as it was. The view is the shrunk ledger's
+    // own aggregates, so the plans transfer verbatim to the replay below.
     const std::vector<ClientId> evicted =
         state.ledger().clients_on(j);  // copy
     if (undo.size() < 2 * evicted.size()) undo.resize(2 * evicted.size());

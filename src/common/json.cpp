@@ -225,9 +225,16 @@ class Parser {
       case '"':
         return parse_string();
       case '[':
-        return parse_array();
-      case '{':
-        return parse_object();
+      case '{': {
+        if (depth_ == Json::kMaxParseDepth) {
+          fail("nesting too deep");
+          return std::nullopt;
+        }
+        ++depth_;
+        auto value = text_[pos_] == '[' ? parse_array() : parse_object();
+        --depth_;
+        return value;
+      }
       default:
         return parse_number();
     }
@@ -414,6 +421,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
   std::string error_;
 };
 

@@ -61,8 +61,13 @@ class Json {
   /// Serializes; `indent` < 0 means compact single-line output.
   std::string dump(int indent = -1) const;
 
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so the cap bounds its stack on hostile input.
+  static constexpr int kMaxParseDepth = 512;
+
   /// Parses a complete JSON document; nullopt (with a position-bearing
-  /// message in *error) on malformed input.
+  /// message in *error) on malformed input or nesting deeper than
+  /// kMaxParseDepth.
   static std::optional<Json> parse(const std::string& text,
                                    std::string* error = nullptr);
 

@@ -71,8 +71,11 @@ std::vector<ThreadLog*>& registry() REQUIRES(g_registry_mutex) {
 
 ThreadLog* make_thread_log() {
   // Never freed (see the header): workers outlive solves, and the
-  // aggregate must keep seeing rows after a thread exits.
-  static common::Arena g_log_arena;
+  // aggregate must keep seeing rows after a thread exits. The arena itself
+  // lives for the whole process too: a static one would free the logs'
+  // pages at exit and leave their rings and accumulators unreachable.
+  // analyze: allow(naked-new) -- process-lifetime arena, never destroyed
+  static common::Arena& g_log_arena = *new common::Arena;
   sync::MutexLock lock(g_registry_mutex);
   auto* log = static_cast<ThreadLog*>(
       g_log_arena.allocate(sizeof(ThreadLog), alignof(ThreadLog)));

@@ -24,7 +24,9 @@
 //
 // Threads register lazily on their first zone and are never unregistered:
 // pool workers outlive solves, and exit-time aggregation must still see
-// their rows. The registry intentionally leaks its logs at process exit.
+// their rows. The logs, and the arena that holds them, are never freed:
+// they stay reachable until the process ends, so a leak checker at exit
+// reports nothing.
 #pragma once
 
 #include <atomic>

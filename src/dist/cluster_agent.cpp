@@ -16,7 +16,8 @@ namespace cloudalloc::dist {
 std::optional<alloc::InsertionPlan> ClusterAgent::evaluate_insertion(
     const model::Allocation& snapshot, model::ClientId i,
     const alloc::InsertionConstraints& constraints) const {
-  return alloc::assign_distribute(snapshot, i, cluster_, opts_, constraints);
+  return alloc::assign_distribute(snapshot.residual(), i, cluster_, opts_,
+                                  constraints);
 }
 
 protocol::ClusterImprovement ClusterAgent::improve(

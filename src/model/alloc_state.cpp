@@ -14,19 +14,12 @@ void AllocState::assign(ClientId i, ClusterId k, std::vector<Placement> ps) {
   check_saved(i);
   CHECK_MSG(depth_ == 0 || k == savepoints_[depth_ - 1].cluster,
             "assign outside the cluster of the open savepoint");
-  touched_.clear();
-  for (const Placement& p : ledger_.placements(i)) touched_.push_back(p.server);
-  for (const Placement& p : ps) touched_.push_back(p.server);
   ledger_.assign(i, k, std::move(ps));
-  for (ServerId j : touched_) view_.resync_server(ledger_, j);
 }
 
 void AllocState::clear(ClientId i) {
   check_saved(i);
-  touched_.clear();
-  for (const Placement& p : ledger_.placements(i)) touched_.push_back(p.server);
   ledger_.clear(i);
-  for (ServerId j : touched_) view_.resync_server(ledger_, j);
 }
 
 double AllocState::profit() { return model::profit(ledger_); }
@@ -34,7 +27,6 @@ double AllocState::profit() { return model::profit(ledger_); }
 void AllocState::adopt(AllocState&& other) {
   CHECK_MSG(depth_ == 0, "adopt() with a savepoint open");
   ledger_ = std::move(other.ledger_);
-  view_ = std::move(other.view_);
 }
 
 void AllocState::save(ClusterId k) {
@@ -44,11 +36,12 @@ void AllocState::save(ClusterId k) {
   if (depth_ == savepoints_.size()) savepoints_.emplace_back();
   Savepoint& sp = savepoints_[depth_++];
   sp.cluster = k;
+  ledger_.residual_.save_cluster(k, sp.residual);
   const std::vector<ServerId>& servers = cloud().cluster(k).servers;
-  sp.servers.resize(servers.size());
+  sp.hosted.resize(servers.size());
   sp.costs.resize(servers.size());
   for (std::size_t idx = 0; idx < servers.size(); ++idx) {
-    sp.servers[idx] = ledger_.server_[servers[idx]];
+    sp.hosted[idx] = ledger_.hosted_[servers[idx]];
     sp.costs[idx] = ledger_.cost_cache_[servers[idx]];
   }
   const std::vector<ClientId> clients = ledger_.clients_in(k);
@@ -73,10 +66,11 @@ void AllocState::rollback() {
   ledger_.dirty_clients_.clear();
   for (ServerId j : ledger_.dirty_servers_) ledger_.server_dirty_[j] = false;
   ledger_.dirty_servers_.clear();
+  ledger_.residual_.restore(sp.residual);
   // Swap rather than copy: the closed frame keeps the vectors for reuse.
   const std::vector<ServerId>& servers = cloud().cluster(sp.cluster).servers;
   for (std::size_t idx = 0; idx < servers.size(); ++idx) {
-    std::swap(ledger_.server_[servers[idx]], sp.servers[idx]);
+    std::swap(ledger_.hosted_[servers[idx]], sp.hosted[idx]);
     ledger_.cost_cache_[servers[idx]] = sp.costs[idx];
   }
   for (SavedClient& rec : sp.clients) {
@@ -86,7 +80,6 @@ void AllocState::rollback() {
   }
   ledger_.profit_total_ = sp.profit_total;
   ledger_.repairs_ = sp.repairs;
-  for (ServerId j : servers) view_.resync_server(ledger_, j);
 }
 
 void AllocState::commit() {
@@ -140,25 +133,25 @@ bool AllocState::aggregates_consistent(double tol) const {
       ++hosted[jj];
     }
   }
-  // Recomputed sums vs incrementally-maintained ledger aggregates: a
-  // relative tolerance absorbs summation-order ulps (emptied servers are
-  // reset to exactly 0.0 on both sides, so zero compares exactly).
+  // Recomputed sums vs incrementally-maintained aggregates: a relative
+  // tolerance absorbs summation-order ulps (emptied servers are reset to
+  // exactly 0.0 on both sides, so zero compares exactly). Hosted counts
+  // compare exactly; a speculative remove_client/add_client left
+  // unrestored shows up there.
   const auto close = [tol](double a, double b) {
     return std::abs(a - b) <=
            tol * std::max({1.0, std::abs(a), std::abs(b)});
   };
+  const ResidualView& view = ledger_.residual_;
   for (ServerId j : cloud.server_ids()) {
     const auto jj = j.index();
-    const Allocation::ServerAgg& agg = ledger_.server_[j];
-    if (static_cast<int>(agg.clients.size()) != hosted[jj]) return false;
-    if (!close(agg.phi_p, phi_p[jj]) || !close(agg.phi_n, phi_n[jj]) ||
-        !close(agg.disk, disk[jj]) || !close(agg.load_p, load_p[jj]))
+    if (view.hosted_[j] != hosted[jj] ||
+        static_cast<int>(ledger_.hosted_[j].size()) != hosted[jj])
       return false;
-    // The view mirrors the ledger bit-for-bit — any difference means a
-    // missed resync, which silently corrupts every subsequent probe.
-    if (view_.used_p_[j] != agg.phi_p || view_.used_n_[j] != agg.phi_n ||
-        view_.used_disk_[j] != agg.disk || view_.load_p_[j] != agg.load_p ||
-        view_.hosted_[j] != static_cast<int>(agg.clients.size()))
+    if (!close(view.used_p_[j], phi_p[jj]) ||
+        !close(view.used_n_[j], phi_n[jj]) ||
+        !close(view.used_disk_[j], disk[jj]) ||
+        !close(view.load_p_[j], load_p[jj]))
       return false;
   }
   return true;
@@ -167,11 +160,11 @@ bool AllocState::aggregates_consistent(double tol) const {
 void AllocState::check_invariants() const {
   CHECK_MSG(aggregates_consistent(),
             "AllocState aggregates diverged from a from-scratch "
-            "recomputation (or the view desynced from the ledger)");
+            "recomputation");
 }
 
 void AllocState::corrupt_aggregate_for_test(ServerId j, double delta) {
-  ledger_.server_[j].phi_p += delta;
+  ledger_.residual_.used_p_[j] += delta;
 }
 
 }  // namespace cloudalloc::model

@@ -1,28 +1,24 @@
 // AllocState: the transactional allocation-state engine.
 //
-// One AllocState owns BOTH state representations the heuristic needs and
-// keeps them bitwise-synchronized behind a single mutation API:
-//
-//   - the `ledger` Allocation — authoritative placements, incremental
-//     profit caches, and the materialization/serialization surface, and
-//   - the `view` ResidualView — the flat SoA residual arrays every
-//     speculative probe (Assign_Distribute, delta pricing) runs against.
+// One AllocState owns the `ledger` Allocation — authoritative placements,
+// incremental profit caches, the materialization/serialization surface —
+// and hands out its per-server aggregates, a ResidualView, as the `view`
+// every speculative probe (Assign_Distribute, delta pricing) runs against.
+// There is one store: a committed assign()/clear() updates the view the
+// next probe reads.
 //
 // The lifecycle every layer follows is propose -> delta-price -> commit /
 // rollback: speculation happens on the view with the bitwise Undo log
-// (remove_client/add_client/restore round-trips are lossless), and only a
-// committed move goes through assign()/clear(), which mutate the ledger
-// and then resync the touched servers' view entries from it — resync
-// rather than replay, because the ledger's own remove/add arithmetic can
-// drift by ulps while the view's restore is exact. A view probe against a
-// synced engine is therefore bit-identical to probing the ledger itself
-// (the accessors evaluate the same expressions over the same bits).
+// (remove_client/add_client/restore round-trips are lossless) and must be
+// restored before the next engine operation; only a committed move goes
+// through assign()/clear().
 //
 // Copies happen only at documented boundaries:
 //   - save(k)/rollback()/commit(): cluster-scoped savepoints for phases
 //     that speculate inside one cluster (TurnON/TurnOFF). A savepoint
-//     holds bitwise pre-images of cluster k's server and client records
-//     and of the profit scalars — O(cluster), never O(cloud) — so a
+//     holds bitwise pre-images of cluster k's view entries (an Undo),
+//     hosted-client lists and cost caches, of the clients hosted in k and
+//     of the profit scalars — O(cluster), never O(cloud) — so a
 //     rolled-back trial leaves the state bitwise as it was, and a
 //     committed one is the in-place mutation itself.
 //   - checkpoint()/materialize(): best-so-far tracking. A Checkpoint is
@@ -34,12 +30,13 @@
 //     for a checkpoint is the carried scalar, not a re-evaluation.
 //
 // Invariant contract: aggregates_consistent() revalidates the engine
-// against a from-scratch recomputation — ledger aggregates within a
+// against a from-scratch recomputation — the view's aggregates within a
 // relative tolerance of recomputed sums (incremental maintenance may
-// drift by ulps; emptied servers reset exactly), and the view bitwise
-// equal to the ledger. check_invariants() CHECKs it (always compiled);
-// debug_check_invariants() is the NDEBUG-gated form the allocator and the
-// distributed manager call at phase boundaries.
+// drift by ulps; emptied servers reset exactly) and hosted counts exact,
+// which also catches a speculation left unrestored. check_invariants()
+// CHECKs it (always compiled); debug_check_invariants() is the
+// NDEBUG-gated form the allocator and the distributed manager call at
+// phase boundaries.
 #pragma once
 
 #include <vector>
@@ -52,11 +49,10 @@ namespace cloudalloc::model {
 class AllocState {
  public:
   /// Empty state over `cloud`.
-  explicit AllocState(const Cloud& cloud) : ledger_(cloud), view_(ledger_) {}
+  explicit AllocState(const Cloud& cloud) : ledger_(cloud) {}
 
   /// Adopts an existing allocation as the ledger (no copy when moved in).
-  explicit AllocState(Allocation ledger)
-      : ledger_(std::move(ledger)), view_(ledger_) {}
+  explicit AllocState(Allocation ledger) : ledger_(std::move(ledger)) {}
 
   AllocState(const AllocState&) = delete;
   AllocState& operator=(const AllocState&) = delete;
@@ -69,18 +65,19 @@ class AllocState {
   /// caches. Mutate only through the engine.
   const Allocation& ledger() const { return ledger_; }
 
-  /// The SoA probe surface. Mutable access is for SPECULATION ONLY:
-  /// remove_client/add_client excursions must be bitwise undone
-  /// (restore()) before the next engine operation, or the view desyncs.
-  ResidualView& view() { return view_; }
-  const ResidualView& view() const { return view_; }
+  /// The SoA probe surface: the ledger's own residuals. Mutable access is
+  /// for SPECULATION ONLY: remove_client/add_client excursions must be
+  /// bitwise undone (restore()) before the next engine operation or
+  /// ledger read, since the ledger's aggregates are these entries.
+  ResidualView& view() { return ledger_.residual_; }
+  const ResidualView& view() const { return ledger_.residual_; }
 
-  // --- committed mutations (ledger + view stay in lockstep) --------------
+  // --- committed mutations ------------------------------------------------
 
-  /// Allocation::assign + resync of every touched server's view entry.
+  /// Allocation::assign, guarded by the open savepoint.
   void assign(ClientId i, ClusterId k, std::vector<Placement> ps);
 
-  /// Allocation::clear + resync.
+  /// Allocation::clear, guarded by the open savepoint.
   void clear(ClientId i);
 
   /// model::profit(ledger) — settles the ledger's caches. Call sites map
@@ -95,7 +92,7 @@ class AllocState {
   // --- cluster savepoints (in-place speculation) --------------------------
 
   /// Opens a savepoint over cluster k. It takes bitwise pre-images of k's
-  /// server records (aggregates with hosted-client order, cost cache), of
+  /// server records (view entries, hosted-client order, cost cache), of
   /// every client hosted in k (cluster, placements, revenue cache) and of
   /// the profit scalars. The ledger must be settled (call profit() first),
   /// so the dirty lists are empty. Savepoints nest, all over the same
@@ -104,9 +101,9 @@ class AllocState {
   /// assign() may only target k; both CHECK it.
   void save(ClusterId k);
 
-  /// Writes the innermost savepoint's pre-images back verbatim and closes
-  /// it: the ledger is bitwise what it was at save(k). The view mirrors
-  /// the ledger, so k's view entries are resynced from the restored records.
+  /// Writes the innermost savepoint's pre-images back verbatim (the view
+  /// entries through ResidualView::restore) and closes it: the ledger is
+  /// bitwise what it was at save(k).
   void rollback();
 
   /// Keeps the current state and closes the innermost savepoint.
@@ -134,9 +131,10 @@ class AllocState {
 
   // --- invariant checker -------------------------------------------------
 
-  /// From-scratch revalidation: recomputed per-server sums vs the
-  /// ledger's incremental aggregates (relative tolerance `tol`), hosted
-  /// counts exact, and the view bitwise equal to the ledger.
+  /// From-scratch revalidation: recomputed per-server sums vs the view's
+  /// incremental aggregates (relative tolerance `tol`), and the view's
+  /// hosted counts and the hosted-client lists both exactly equal to the
+  /// recomputed counts.
   bool aggregates_consistent(double tol = 1e-9) const;
 
   /// CHECK(aggregates_consistent()) — always compiled.
@@ -149,8 +147,8 @@ class AllocState {
 #endif
   }
 
-  /// Test hook: perturbs one ledger aggregate so invariant tests can
-  /// prove the checker trips. Never called outside tests.
+  /// Test hook: perturbs one view aggregate so invariant tests can prove
+  /// the checker trips. Never called outside tests.
   void corrupt_aggregate_for_test(ServerId j, double delta);
 
  private:
@@ -163,9 +161,10 @@ class AllocState {
   };
   struct Savepoint {
     ClusterId cluster = kNoCluster;
-    std::vector<Allocation::ServerAgg> servers;  ///< in cluster order
-    std::vector<double> costs;                   ///< in cluster order
-    std::vector<SavedClient> clients;            ///< ascending by id
+    ResidualView::Undo residual;               ///< k's view entries
+    std::vector<std::vector<ClientId>> hosted;  ///< in cluster order
+    std::vector<double> costs;                  ///< in cluster order
+    std::vector<SavedClient> clients;           ///< ascending by id
     double profit_total = 0.0;
     std::size_t repairs = 0;
   };
@@ -174,8 +173,6 @@ class AllocState {
   void check_saved(ClientId i) const;
 
   Allocation ledger_;
-  ResidualView view_;
-  std::vector<ServerId> touched_;  ///< scratch for resync batching
   // Open savepoints are savepoints_[0, depth_); frames past depth_ are
   // kept so their vectors' capacity is reused by the next save().
   std::vector<Savepoint> savepoints_;

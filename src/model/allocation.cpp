@@ -14,7 +14,8 @@ Allocation::Allocation(const Cloud& cloud)
     : cloud_(&cloud),
       cluster_of_(static_cast<std::size_t>(cloud.num_clients()), kNoCluster),
       placements_(static_cast<std::size_t>(cloud.num_clients())),
-      server_(static_cast<std::size_t>(cloud.num_servers())),
+      residual_(cloud),
+      hosted_(static_cast<std::size_t>(cloud.num_servers())),
       revenue_cache_(static_cast<std::size_t>(cloud.num_clients()), 0.0),
       cost_cache_(static_cast<std::size_t>(cloud.num_servers()), 0.0),
       client_dirty_(static_cast<std::size_t>(cloud.num_clients()), false),
@@ -82,40 +83,25 @@ void Allocation::mark_server_dirty(ServerId j) {
 }
 
 void Allocation::remove_footprint(ClientId i) {
-  const Client& c = cloud_->client(i);
   mark_client_dirty(i);
   for (const Placement& p : placements_[i]) {
     mark_server_dirty(p.server);
+    std::vector<ClientId>& hosted = hosted_[p.server];
+    auto it = std::find(hosted.begin(), hosted.end(), i);
+    CHECK(it != hosted.end());
+    *it = hosted.back();
+    hosted.pop_back();
   }
-  for (const Placement& p : placements_[i]) {
-    ServerAgg& agg = server_[p.server];
-    agg.phi_p -= p.phi_p;
-    agg.phi_n -= p.phi_n;
-    agg.disk -= c.disk;
-    agg.load_p -= p.psi * c.lambda_pred * c.alpha_p;
-    auto it = std::find(agg.clients.begin(), agg.clients.end(), i);
-    CHECK(it != agg.clients.end());
-    *it = agg.clients.back();
-    agg.clients.pop_back();
-    // Guard drift from repeated add/remove cycles.
-    if (agg.clients.empty()) {
-      agg.phi_p = agg.phi_n = agg.disk = agg.load_p = 0.0;
-    }
-  }
+  residual_.remove_client(i, placements_[i]);
 }
 
 void Allocation::add_footprint(ClientId i) {
-  const Client& c = cloud_->client(i);
   mark_client_dirty(i);
   for (const Placement& p : placements_[i]) {
     mark_server_dirty(p.server);
-    ServerAgg& agg = server_[p.server];
-    agg.phi_p += p.phi_p;
-    agg.phi_n += p.phi_n;
-    agg.disk += c.disk;
-    agg.load_p += p.psi * c.lambda_pred * c.alpha_p;
-    agg.clients.push_back(i);
+    hosted_[p.server].push_back(i);
   }
+  residual_.add_client(i, placements_[i]);
 }
 
 double Allocation::response_time(ClientId i) const {
@@ -137,29 +123,27 @@ double Allocation::response_time(ClientId i) const {
 
 double Allocation::used_phi_p(ServerId j) const {
   CHECK(j.valid() && j.value() < cloud_->num_servers());
-  return server_[j].phi_p +
-         cloud_->server(j).background.phi_p;
+  return residual_.used_phi_p(j);
 }
 
 double Allocation::used_phi_n(ServerId j) const {
   CHECK(j.valid() && j.value() < cloud_->num_servers());
-  return server_[j].phi_n +
-         cloud_->server(j).background.phi_n;
+  return residual_.used_phi_n(j);
 }
 
 double Allocation::used_disk(ServerId j) const {
   CHECK(j.valid() && j.value() < cloud_->num_servers());
-  return server_[j].disk +
-         cloud_->server(j).background.disk;
+  return residual_.used_disk(j);
 }
 
 double Allocation::free_disk(ServerId j) const {
-  return cloud_->server_class_of(j).cap_m - used_disk(j);
+  CHECK(j.valid() && j.value() < cloud_->num_servers());
+  return residual_.free_disk(j);
 }
 
 double Allocation::proc_load(ServerId j) const {
   CHECK(j.valid() && j.value() < cloud_->num_servers());
-  return server_[j].load_p;
+  return residual_.proc_load(j);
 }
 
 double Allocation::proc_utilization(ServerId j) const {
@@ -169,13 +153,12 @@ double Allocation::proc_utilization(ServerId j) const {
 
 bool Allocation::active(ServerId j) const {
   CHECK(j.valid() && j.value() < cloud_->num_servers());
-  return !server_[j].clients.empty() ||
-         cloud_->server(j).background.keeps_on;
+  return residual_.active(j);
 }
 
 const std::vector<ClientId>& Allocation::clients_on(ServerId j) const {
   CHECK(j.valid() && j.value() < cloud_->num_servers());
-  return server_[j].clients;
+  return hosted_[j];
 }
 
 double Allocation::cached_profit() const {
@@ -212,7 +195,7 @@ std::vector<ClientId> Allocation::clients_in(ClusterId k) const {
   CHECK(k.valid() && k.value() < cloud_->num_clusters());
   std::vector<ClientId> out;
   for (ServerId j : cloud_->cluster(k).servers)
-    out.insert(out.end(), server_[j].clients.begin(), server_[j].clients.end());
+    out.insert(out.end(), hosted_[j].begin(), hosted_[j].end());
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

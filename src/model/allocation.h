@@ -5,7 +5,9 @@
 // Allocation maintains per-server aggregates (used shares, disk, processing
 // load, hosted clients) incrementally so the heuristic's inner loops stay
 // O(changed placements), and exposes the derived quantities the model
-// needs: server activity x_j, utilization, and client response times.
+// needs: server activity x_j, utilization, and client response times. The
+// numeric aggregates live in one ResidualView (residual()), the store every
+// Assign_Distribute probe reads; the hosted-client lists sit beside it.
 //
 // Concurrency (the frozen-snapshot contract used by the parallel
 // evaluation engine): Allocation is not internally synchronized. The
@@ -13,8 +15,8 @@
 // shared instance is safe for concurrent const access ONLY once the cache
 // is settled — call model::profit(a) once, then profit_settled() holds and
 // every const accessor (is_assigned, cluster_of, placements,
-// response_time, the server aggregates, active, clients_on, clone) is a
-// pure read. Workers that need to mutate or re-price must clone() the
+// response_time, the server aggregates, residual, active, clients_on,
+// clone) is a pure read. Workers that need to mutate or re-price must clone() the
 // settled snapshot and work on the private copy. Parallel call sites
 // CHECK(profit_settled()) before fanning out.
 #pragma once
@@ -22,17 +24,11 @@
 #include <vector>
 
 #include "model/cloud.h"
+#include "model/placement.h"
+#include "model/residual.h"
 #include "queueing/response_time.h"
 
 namespace cloudalloc::model {
-
-/// One client's slice on one server.
-struct Placement {
-  ServerId server = kNoServer;
-  double psi = 0.0;    ///< fraction of the client's requests sent to `server`
-  double phi_p = 0.0;  ///< GPS share of the server's processing capacity
-  double phi_n = 0.0;  ///< GPS share of the server's communication capacity
-};
 
 class Allocation {
  public:
@@ -48,7 +44,8 @@ class Allocation {
 
   /// Replaces client i's entire assignment. Every placement must reference
   /// a distinct server of cluster `k`, have psi in (0,1] summing to ~1, and
-  /// non-negative shares. Aggregates are updated incrementally.
+  /// non-negative shares. Aggregates are updated incrementally, through
+  /// the residual view's add_client/remove_client.
   void assign(ClientId i, ClusterId k, std::vector<Placement> ps);
 
   /// Removes client i from the system (no cluster, no placements).
@@ -87,6 +84,10 @@ class Allocation {
 
   int num_active_servers() const;
 
+  /// The per-server aggregates as the SoA view the probes read
+  /// (Assign_Distribute, delta pricing). Copy it to speculate.
+  const ResidualView& residual() const { return residual_; }
+
   /// Deep copy, for the documented snapshot boundaries (a distributed
   /// agent's private copy, the greedy's base state). In-place speculation
   /// uses AllocState savepoints instead.
@@ -108,16 +109,7 @@ class Allocation {
   }
 
  private:
-  friend class ResidualView;
   friend class AllocState;
-
-  struct ServerAgg {
-    double phi_p = 0.0;
-    double phi_n = 0.0;
-    double disk = 0.0;
-    double load_p = 0.0;
-    std::vector<ClientId> clients;
-  };
 
   void remove_footprint(ClientId i);
   void add_footprint(ClientId i);
@@ -127,7 +119,8 @@ class Allocation {
   const Cloud* cloud_;
   IdVector<ClientId, ClusterId> cluster_of_;
   IdVector<ClientId, std::vector<Placement>> placements_;
-  IdVector<ServerId, ServerAgg> server_;
+  ResidualView residual_;
+  IdVector<ServerId, std::vector<ClientId>> hosted_;  ///< clients_on(j)
 
   // Incremental-profit caches. `profit_total_` always equals the sum of
   // the *cached* values; repairing a dirty entry adjusts the total by the

@@ -76,8 +76,8 @@ void free_disk_batch(const double* cap, const double* used, const double* bg,
 
 }  // namespace
 
-ResidualView::ResidualView(const Allocation& alloc) : cloud_(alloc.cloud_) {
-  const auto num_servers = static_cast<std::size_t>(cloud_->num_servers());
+ResidualView::ResidualView(const Cloud& cloud) : cloud_(&cloud) {
+  const auto num_servers = static_cast<std::size_t>(cloud.num_servers());
   used_p_.resize(num_servers);
   used_n_.resize(num_servers);
   used_disk_.resize(num_servers);
@@ -88,24 +88,18 @@ ResidualView::ResidualView(const Allocation& alloc) : cloud_(alloc.cloud_) {
   bg_disk_.resize(num_servers);
   cap_m_.resize(num_servers);
   keeps_on_.resize(num_servers);
-  for (ServerId j : cloud_->server_ids()) {
-    const Allocation::ServerAgg& agg = alloc.server_[j];
-    used_p_[j] = agg.phi_p;
-    used_n_[j] = agg.phi_n;
-    used_disk_[j] = agg.disk;
-    load_p_[j] = agg.load_p;
-    hosted_[j] = static_cast<int>(agg.clients.size());
-    const BackgroundLoad& bg = cloud_->server(j).background;
+  for (ServerId j : cloud.server_ids()) {
+    const BackgroundLoad& bg = cloud.server(j).background;
     bg_p_[j] = bg.phi_p;
     bg_n_[j] = bg.phi_n;
     bg_disk_[j] = bg.disk;
-    cap_m_[j] = cloud_->server_class_of(j).cap_m;
+    cap_m_[j] = cloud.server_class_of(j).cap_m;
     keeps_on_[j] = bg.keeps_on ? 1 : 0;
   }
-  const auto num_clusters = static_cast<std::size_t>(cloud_->num_clusters());
+  const auto num_clusters = static_cast<std::size_t>(cloud.num_clusters());
   contig_base_.resize(num_clusters);
-  for (ClusterId k : cloud_->cluster_ids()) {
-    const auto& servers = cloud_->cluster(k).servers;
+  for (ClusterId k : cloud.cluster_ids()) {
+    const auto& servers = cloud.cluster(k).servers;
     int base = servers.empty() ? -1 : static_cast<int>(servers.front().value());
     for (std::size_t idx = 0; idx < servers.size() && base >= 0; ++idx) {
       if (servers[idx].value() !=
@@ -130,11 +124,16 @@ bool ResidualView::screen_free_disk(ClusterId k, double need, double eps,
   free_disk_batch(cap_m_.data() + b, used_disk_.data() + b,
                   bg_disk_.data() + b, n, free_buf.data());
   // Negated form of the scalar reject test (free + eps < need), the exact
-  // comparison candidate_ok performs.
+  // comparison of Assign_Distribute's per-server fallback.
   for (std::size_t idx = 0; idx < n; ++idx) {
     ok[idx] = (free_buf[idx] + eps < need) ? 0 : 1;
   }
   return true;
+}
+
+ResidualView::Undo::Entry ResidualView::entry(ServerId j) const {
+  return Undo::Entry{j, used_p_[j], used_n_[j], used_disk_[j], load_p_[j],
+                     hosted_[j]};
 }
 
 void ResidualView::record(const std::vector<Placement>& ps,
@@ -142,12 +141,14 @@ void ResidualView::record(const std::vector<Placement>& ps,
   if (undo == nullptr) return;
   undo->entries.clear();
   undo->entries.reserve(ps.size());
-  for (const Placement& p : ps) {
-    undo->entries.push_back(Undo::Entry{p.server, used_p_[p.server],
-                                        used_n_[p.server],
-                                        used_disk_[p.server],
-                                        load_p_[p.server], hosted_[p.server]});
-  }
+  for (const Placement& p : ps) undo->entries.push_back(entry(p.server));
+}
+
+void ResidualView::save_cluster(ClusterId k, Undo& undo) const {
+  const std::vector<ServerId>& servers = cloud_->cluster(k).servers;
+  undo.entries.clear();
+  undo.entries.reserve(servers.size());
+  for (ServerId j : servers) undo.entries.push_back(entry(j));
 }
 
 void ResidualView::remove_client(ClientId i, const std::vector<Placement>& ps,
@@ -161,7 +162,7 @@ void ResidualView::remove_client(ClientId i, const std::vector<Placement>& ps,
     used_disk_[p.server] -= c.disk;
     load_p_[p.server] -= p.psi * c.lambda_pred * c.alpha_p;
     --hosted_[p.server];
-    // Mirror Allocation::remove_footprint's drift guard exactly.
+    // An emptied server drops the rounding left by its add/remove history.
     if (hosted_[p.server] == 0) {
       used_p_[p.server] = used_n_[p.server] = used_disk_[p.server] =
           load_p_[p.server] = 0.0;
@@ -180,15 +181,6 @@ void ResidualView::add_client(ClientId i, const std::vector<Placement>& ps,
     load_p_[p.server] += p.psi * c.lambda_pred * c.alpha_p;
     ++hosted_[p.server];
   }
-}
-
-void ResidualView::resync_server(const Allocation& alloc, ServerId j) {
-  const Allocation::ServerAgg& agg = alloc.server_[j];
-  used_p_[j] = agg.phi_p;
-  used_n_[j] = agg.phi_n;
-  used_disk_[j] = agg.disk;
-  load_p_[j] = agg.load_p;
-  hosted_[j] = static_cast<int>(agg.clients.size());
 }
 
 void ResidualView::restore(const Undo& undo) {

@@ -1,21 +1,21 @@
-// ResidualView: a flat SoA snapshot of the per-server residual state an
-// insertion probe needs — free shares, free disk, offered processing load,
-// and hosted-client counts — detached from the full Allocation.
+// ResidualView: the per-server residual state in flat SoA form — free
+// shares, free disk, offered processing load, and hosted-client counts.
 //
-// The view exists so the heuristic's hot loops (Assign_Distribute probing,
-// reassignment move pricing) can speculate WITHOUT cloning an Allocation:
-// copying a view is a handful of flat vector copies (no per-client
-// placement vectors, no profit caches), and removing/re-adding one
-// client's footprint is O(#placements) on plain arrays. The arithmetic
-// mirrors Allocation's aggregate maintenance operation-for-operation
-// (including the reset-to-zero guard when a server empties), so a view
-// kept in sync with an Allocation reports bit-identical residuals.
+// Every Allocation keeps its per-server aggregates in one of these
+// (Allocation::residual()): assign()/clear() update it through
+// add_client/remove_client, and the heuristic's hot loops
+// (Assign_Distribute probing, delta pricing) read it directly. Copying a
+// view is a handful of flat vector copies (no per-client placement
+// vectors, no profit caches), so a thread that speculates on its own copy
+// pays O(servers), and removing/re-adding one client's footprint is
+// O(#placements) on plain arrays.
 //
 // Exact rollback: add_client/remove_client optionally record the touched
 // entries in an Undo; restore() writes the saved values back verbatim, so
 // a speculate-then-restore cycle is bitwise lossless (a -= x; a += x; is
 // not). The reassignment passes lean on this to probe hundreds of clients
-// against one shared view copy without accumulating drift.
+// against one view without accumulating drift, and AllocState's cluster
+// savepoints roll back through the same Undo.
 //
 // Concurrency: every const member is a pure read (the view has no lazy
 // caches), so one frozen view may be probed from many threads at once;
@@ -25,35 +25,26 @@
 #include <cstdint>
 #include <vector>
 
-#include "model/allocation.h"
+#include "model/cloud.h"
+#include "model/placement.h"
 
 namespace cloudalloc::model {
 
 class ResidualView {
  public:
-  /// Captures the allocation's current server aggregates. The view does
-  /// not observe later mutations of `alloc`; callers keep it in sync via
-  /// add_client/remove_client or rebuild it.
-  explicit ResidualView(const Allocation& alloc);
-
-  ResidualView(const ResidualView&) = default;
-  ResidualView& operator=(const ResidualView&) = default;
-  ResidualView(ResidualView&&) = default;
-  ResidualView& operator=(ResidualView&&) = default;
+  /// The empty view over `cloud`: no client placed, background load only.
+  explicit ResidualView(const Cloud& cloud);
 
   const Cloud& cloud() const { return *cloud_; }
 
-  // --- read API (mirrors the Allocation accessors the probes use) --------
+  // --- read API (background load included in the used/free readings) ----
 
-  double free_phi_p(ServerId j) const {
-    return 1.0 - (used_p_[j] + bg_p_[j]);
-  }
-  double free_phi_n(ServerId j) const {
-    return 1.0 - (used_n_[j] + bg_n_[j]);
-  }
-  double free_disk(ServerId j) const {
-    return cap_m_[j] - (used_disk_[j] + bg_disk_[j]);
-  }
+  double used_phi_p(ServerId j) const { return used_p_[j] + bg_p_[j]; }
+  double used_phi_n(ServerId j) const { return used_n_[j] + bg_n_[j]; }
+  double used_disk(ServerId j) const { return used_disk_[j] + bg_disk_[j]; }
+  double free_phi_p(ServerId j) const { return 1.0 - used_phi_p(j); }
+  double free_phi_n(ServerId j) const { return 1.0 - used_phi_n(j); }
+  double free_disk(ServerId j) const { return cap_m_[j] - used_disk(j); }
   double proc_load(ServerId j) const { return load_p_[j]; }
   bool active(ServerId j) const {
     return hosted_[j] > 0 || keeps_on_[j] != 0;
@@ -76,7 +67,7 @@ class ResidualView {
   // --- speculative mutation with exact rollback ---------------------------
 
   /// Saved per-server state for bitwise-exact restore. Reusable across
-  /// calls; each record call clears it first.
+  /// calls; each recording call clears it first.
   struct Undo {
     struct Entry {
       ServerId server = kNoServer;
@@ -90,33 +81,31 @@ class ResidualView {
   };
 
   /// Removes client i's footprint (`ps` must be its current placements in
-  /// this view). Mirrors Allocation::remove_footprint's arithmetic.
+  /// this view; one placement per server). A server left hosting no client
+  /// resets its aggregates to exactly zero, so add/remove cycles cannot
+  /// leave drift on an empty server.
   void remove_client(ClientId i, const std::vector<Placement>& ps,
                      Undo* undo = nullptr);
 
-  /// Adds client i's footprint. Mirrors Allocation::add_footprint.
+  /// Adds client i's footprint.
   void add_client(ClientId i, const std::vector<Placement>& ps,
                   Undo* undo = nullptr);
+
+  /// Records the entries of cluster k's servers into `undo`, so a later
+  /// restore() rolls the whole cluster back.
+  void save_cluster(ClusterId k, Undo& undo) const;
 
   /// Writes the saved entries back verbatim (bitwise-exact rollback).
   void restore(const Undo& undo);
 
-  /// Re-copies server j's aggregates from `alloc`, making the view bitwise
-  /// equal to the allocation for that server. Callers that mirror an
-  /// Allocation use this after a rollback on the allocation side: the
-  /// allocation's remove/add round trip does not restore its aggregates to
-  /// the last bit, so mirroring the ops would leave the view on the
-  /// pre-rollback values instead of the allocation's actual (drifted) ones.
-  void resync_server(const Allocation& alloc, ServerId j);
-
  private:
   friend class AllocState;
 
+  Undo::Entry entry(ServerId j) const;
   void record(const std::vector<Placement>& ps, Undo* undo) const;
 
   const Cloud* cloud_;
-  // Mutable residual state (client-only aggregates, background excluded —
-  // exactly Allocation::ServerAgg's representation).
+  // Mutable residual state (client-only aggregates, background excluded).
   IdVector<ServerId, double> used_p_, used_n_, used_disk_, load_p_;
   IdVector<ServerId, int> hosted_;
   // Immutable per-server constants, flattened for locality.

@@ -21,8 +21,8 @@ namespace cloudalloc::model {
 Json cloud_to_json(const Cloud& cloud);
 
 /// JSON -> Cloud. Returns nullopt (and a message in *error) on schema
-/// violations; parameter-domain violations still CHECK inside Cloud's
-/// constructor, as they are programmer errors on a trusted document.
+/// violations and on any parameter outside the domain Cloud's constructor
+/// CHECKs, so a corrupted document is rejected instead of aborting.
 std::optional<Cloud> cloud_from_json(const Json& doc,
                                      std::string* error = nullptr);
 

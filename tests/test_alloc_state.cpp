@@ -1,9 +1,10 @@
-// The allocation-state engine's contract: ledger and view stay bitwise
-// synchronized under every committed mutation, phases preserve the
-// from-scratch invariants, checkpoints round-trip, cluster savepoints roll
-// back bitwise and guard their cluster, corruption trips the checker, and
-// the engine-backed allocator is bit-identical at every thread count and
-// reproduces the 1k-client witness.
+// The allocation-state engine's contract: the aggregates match a
+// from-scratch recomputation under every committed mutation, phases
+// preserve the invariants, checkpoints round-trip, cluster savepoints roll
+// back bitwise and guard their cluster, corruption and unrestored
+// speculation trip the checker, and the engine-backed allocator is
+// bit-identical at every thread count and reproduces the 1k-client
+// witness.
 #include "model/alloc_state.h"
 
 #include <bit>
@@ -279,6 +280,25 @@ TEST(AllocState, CorruptedAggregateTripsTheChecker) {
   state.corrupt_aggregate_for_test(ServerId{0}, 1e-3);
   EXPECT_FALSE(state.aggregates_consistent());
   EXPECT_DEATH(state.check_invariants(), "");
+}
+
+TEST(AllocState, UnrestoredSpeculationTripsTheChecker) {
+  // The view is the ledger's own store, so a speculative remove_client
+  // left unrestored corrupts the aggregates; the checker must see it.
+  const auto cloud = workload::make_scenario(small_params(), 13);
+  AllocState state = seeded_state(cloud);
+  ASSERT_TRUE(state.aggregates_consistent());
+  ClientId placed = kNoClient;
+  for (ClientId i : cloud.client_ids())
+    if (placed == kNoClient && state.ledger().is_assigned(i)) placed = i;
+  ASSERT_NE(placed, kNoClient);
+
+  ResidualView::Undo undo;
+  state.view().remove_client(placed, state.ledger().placements(placed),
+                             &undo);
+  EXPECT_FALSE(state.aggregates_consistent());
+  state.view().restore(undo);
+  EXPECT_TRUE(state.aggregates_consistent());
 }
 
 TEST(AllocState, AllocatorBitIdenticalAcrossThreadCounts) {

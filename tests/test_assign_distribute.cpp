@@ -38,7 +38,7 @@ class AssignDistributeTest : public ::testing::Test {
 
 TEST_F(AssignDistributeTest, ProducesFeasiblePlan) {
   Allocation alloc(cloud_);
-  const auto plan = assign_distribute(alloc, model::ClientId{0}, model::ClusterId{0}, opts_);
+  const auto plan = assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->cluster, model::ClusterId{0});
   alloc.assign(model::ClientId{0}, plan->cluster, plan->placements);
@@ -49,7 +49,7 @@ TEST_F(AssignDistributeTest, ProducesFeasiblePlan) {
 TEST_F(AssignDistributeTest, PsiQuantizedOnGrid) {
   Allocation alloc(cloud_);
   opts_.psi_grid = 4;
-  const auto plan = assign_distribute(alloc, model::ClientId{0}, model::ClusterId{0}, opts_);
+  const auto plan = assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_);
   ASSERT_TRUE(plan.has_value());
   for (const Placement& p : plan->placements) {
     const double quanta = p.psi * 4.0;
@@ -64,8 +64,8 @@ TEST_F(AssignDistributeTest, ScoreTracksRealProfitOrdering) {
   // Saturate cluster 0 shares with clients 1..3.
   alloc.assign(model::ClientId{1}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.9, 0.9}});
   alloc.assign(model::ClientId{2}, model::ClusterId{0}, {Placement{model::ServerId{1}, 1.0, 0.9, 0.9}});
-  const auto plan0 = assign_distribute(alloc, model::ClientId{0}, model::ClusterId{0}, opts_);
-  const auto plan1 = assign_distribute(alloc, model::ClientId{0}, model::ClusterId{1}, opts_);
+  const auto plan0 = assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_);
+  const auto plan1 = assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{1}, opts_);
   ASSERT_TRUE(plan1.has_value());
   if (plan0) {
     EXPECT_GE(plan1->score, plan0->score);
@@ -81,7 +81,7 @@ TEST_F(AssignDistributeTest, RespectsDiskConstraint) {
   alloc.assign(model::ClientId{0}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.35, 0.35}});
   alloc.assign(model::ClientId{1}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.35, 0.35}});
   alloc.assign(model::ClientId{2}, model::ClusterId{0}, {Placement{model::ServerId{1}, 1.0, 0.40, 0.40}});
-  const auto plan = assign_distribute(alloc, model::ClientId{3}, model::ClusterId{0}, opts_);
+  const auto plan = assign_distribute(alloc.residual(), model::ClientId{3}, model::ClusterId{0}, opts_);
   ASSERT_TRUE(plan.has_value());
   Allocation trial = alloc.clone();
   trial.assign(model::ClientId{3}, model::ClusterId{0}, plan->placements);
@@ -92,7 +92,7 @@ TEST_F(AssignDistributeTest, ExcludedServerNeverUsed) {
   Allocation alloc(cloud_);
   InsertionConstraints constraints;
   constraints.exclude = model::ServerId{0};
-  const auto plan = assign_distribute(alloc, model::ClientId{0}, model::ClusterId{0}, opts_, constraints);
+  const auto plan = assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_, constraints);
   ASSERT_TRUE(plan.has_value());
   for (const Placement& p : plan->placements)
     EXPECT_NE(p.server, model::ServerId{0});
@@ -103,10 +103,10 @@ TEST_F(AssignDistributeTest, ActiveOnlyConstraintHonored) {
   InsertionConstraints constraints;
   constraints.allow_inactive = false;
   // Nothing is active yet -> no candidates.
-  EXPECT_FALSE(assign_distribute(alloc, model::ClientId{0}, model::ClusterId{0}, opts_, constraints).has_value());
+  EXPECT_FALSE(assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_, constraints).has_value());
   // Activate server 1, then only server 1 is eligible.
   alloc.assign(model::ClientId{1}, model::ClusterId{0}, {Placement{model::ServerId{1}, 1.0, 0.3, 0.3}});
-  const auto plan = assign_distribute(alloc, model::ClientId{0}, model::ClusterId{0}, opts_, constraints);
+  const auto plan = assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_, constraints);
   ASSERT_TRUE(plan.has_value());
   for (const Placement& p : plan->placements)
     EXPECT_EQ(p.server, model::ServerId{1});
@@ -117,7 +117,7 @@ TEST_F(AssignDistributeTest, ActivationCostDiscouragesNewServers) {
   // over paying a second P0.
   Allocation alloc(cloud_);
   alloc.assign(model::ClientId{1}, model::ClusterId{0}, {Placement{model::ServerId{1}, 1.0, 0.2, 0.2}});
-  const auto plan = assign_distribute(alloc, model::ClientId{0}, model::ClusterId{0}, opts_);
+  const auto plan = assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_);
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->placements.size(), 1u);
   EXPECT_EQ(plan->placements[0].server, model::ServerId{1});
@@ -140,7 +140,7 @@ TEST_F(AssignDistributeTest, HeavyClientSplitsAcrossServers) {
   params.alpha_lo = params.alpha_hi = 1.0;  // demand 8 > cap <= 6
   const auto heavy = workload::make_scenario(params, 3);
   Allocation heavy_alloc(heavy);
-  const auto plan = assign_distribute(heavy_alloc, model::ClientId{0}, model::ClusterId{0}, opts_);
+  const auto plan = assign_distribute(heavy_alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_);
   ASSERT_TRUE(plan.has_value());
   EXPECT_GE(plan->placements.size(), 2u);
   heavy_alloc.assign(model::ClientId{0}, model::ClusterId{0}, plan->placements);
@@ -157,7 +157,7 @@ TEST_F(AssignDistributeTest, ReturnsNulloptWhenImpossible) {
   params.alpha_lo = params.alpha_hi = 1.0;
   const auto impossible = workload::make_scenario(params, 3);
   Allocation alloc(impossible);
-  EXPECT_FALSE(assign_distribute(alloc, model::ClientId{0}, model::ClusterId{0}, opts_).has_value());
+  EXPECT_FALSE(assign_distribute(alloc.residual(), model::ClientId{0}, model::ClusterId{0}, opts_).has_value());
 }
 
 TEST_F(AssignDistributeTest, BestInsertionPicksArgmaxCluster) {
@@ -165,7 +165,7 @@ TEST_F(AssignDistributeTest, BestInsertionPicksArgmaxCluster) {
   // Saturate cluster 0 completely.
   alloc.assign(model::ClientId{1}, model::ClusterId{0}, {Placement{model::ServerId{0}, 1.0, 0.95, 0.95}});
   alloc.assign(model::ClientId{2}, model::ClusterId{0}, {Placement{model::ServerId{1}, 1.0, 0.95, 0.95}});
-  const auto best = best_insertion(alloc, model::ClientId{0}, opts_);
+  const auto best = best_insertion(alloc.residual(), model::ClientId{0}, opts_);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->cluster, model::ClusterId{1});
 }
@@ -181,7 +181,7 @@ TEST_P(AssignDistributeProperty, CommittedPlansStayFeasible) {
   AllocatorOptions opts;
   Allocation alloc(cloud);
   for (model::ClientId i : cloud.client_ids()) {
-    const auto plan = best_insertion(alloc, i, opts);
+    const auto plan = best_insertion(alloc.residual(), i, opts);
     if (!plan) continue;
     alloc.assign(i, plan->cluster, plan->placements);
     ASSERT_TRUE(model::is_feasible(alloc)) << "after client " << i;
@@ -204,10 +204,12 @@ using units::WorkRate;
 
 /// What the reference saw that assign_distribute skips: rows infeasible at
 /// one quantum (the screen drops them) and feasible rows whose row key
-/// repeats an earlier row of the same probe (the memo copies them).
+/// repeats an earlier row of the same probe (the memo copies them). Also
+/// the servers its eq.-8 filter rejected on disk.
 struct ShortcutCounts {
   long infeasible_rows = 0;
   long repeated_keys = 0;
+  long disk_rejects = 0;
 };
 
 /// Assign_Distribute with no shortcut: the eq.-8 candidate filter only,
@@ -233,7 +235,10 @@ std::optional<InsertionPlan> reference_insertion(
   for (ServerId j : cloud.cluster(k).servers) {
     if (j == constraints.exclude) continue;
     if (!constraints.allow_inactive && !state.active(j)) continue;
-    if (state.free_disk(j) + kEps < c.disk) continue;
+    if (state.free_disk(j) + kEps < c.disk) {
+      ++counts.disk_rejects;
+      continue;
+    }
     const model::ServerClass& sc = cloud.server_class_of(j);
     const double free_p = state.free_phi_p(j);
     const double free_n = state.free_phi_n(j);
@@ -345,14 +350,11 @@ struct LaneWidthRestorer {
   }
 };
 
-/// Probes client i on every cluster of `alloc` through both overloads at
-/// every lane width, and compares each plan with the reference bit for
-/// bit. Every third client may only use active servers and every fourth
-/// excludes its cluster's first server, so the constraint filters are
-/// covered too.
+/// Probes client i on every cluster of `alloc` at every lane width, and
+/// compares each plan with the reference bit for bit. Every third client
+/// may only use active servers and every fourth excludes its cluster's
+/// first server, so the constraint filters are covered too.
 void check_client(const Allocation& alloc, ClientId i, ShortcutCounts& counts) {
-  model::profit(alloc);  // settle caches before snapshotting
-  const model::ResidualView view(alloc);
   const AllocatorOptions opts;
   const model::Cloud& cloud = alloc.cloud();
   for (ClusterId k : cloud.cluster_ids()) {
@@ -366,10 +368,9 @@ void check_client(const Allocation& alloc, ClientId i, ShortcutCounts& counts) {
       const std::string where = "client " + std::to_string(i.value()) +
                                 " cluster " + std::to_string(k.value()) +
                                 " width " + std::to_string(w);
-      expect_same_plan(assign_distribute(alloc, i, k, opts, constraints), want,
-                       where + " Allocation");
-      expect_same_plan(assign_distribute(view, i, k, opts, constraints), want,
-                       where + " ResidualView");
+      expect_same_plan(
+          assign_distribute(alloc.residual(), i, k, opts, constraints), want,
+          where);
     }
   }
 }
@@ -379,7 +380,7 @@ Allocation half_loaded(const model::Cloud& cloud, int placed) {
   Allocation alloc(cloud);
   for (int i_raw = 0; i_raw < placed; ++i_raw) {
     const ClientId i{i_raw};
-    const auto plan = best_insertion(alloc, i, AllocatorOptions{});
+    const auto plan = best_insertion(alloc.residual(), i, AllocatorOptions{});
     if (plan) alloc.assign(i, plan->cluster, plan->placements);
   }
   return alloc;
@@ -438,6 +439,45 @@ TEST(AssignDistributeReference, MatchesOnSingleClassTwinRichClusters) {
   }
   EXPECT_GT(counts.infeasible_rows, 0);
   EXPECT_GT(counts.repeated_keys, 0);
+}
+
+/// `cloud` with its servers dealt round-robin over its clusters: server j
+/// joins cluster j mod K, so no cluster's ids form one contiguous range.
+model::Cloud deal_round_robin(const model::Cloud& cloud) {
+  std::vector<model::Server> servers = cloud.servers();
+  std::vector<model::Cluster> clusters = cloud.clusters();
+  for (model::Cluster& cl : clusters) cl.servers.clear();
+  for (model::Server& sv : servers) {
+    sv.cluster = ClusterId{sv.id.value() % cloud.num_clusters()};
+    clusters[sv.cluster.index()].servers.push_back(sv.id);
+  }
+  return model::Cloud(cloud.server_classes(), std::move(servers),
+                      std::move(clusters), cloud.utility_classes(),
+                      cloud.clients());
+}
+
+// The batched disk screen needs contiguous server ids, which the
+// generators always emit; this cloud has none, so every probe takes the
+// per-server free_disk fallback.
+TEST(AssignDistributeReference, MatchesOnNonContiguousClusters) {
+  LaneWidthRestorer restore;
+  ShortcutCounts counts;
+  workload::ScenarioParams params;
+  params.num_clients = 60;
+  params.num_clusters = 3;
+  params.servers_per_cluster = 8;
+  params.disk_lo = 1.0;
+  params.disk_hi = 2.5;
+  const model::Cloud cloud =
+      deal_round_robin(workload::make_scenario(params, 37));
+  const Allocation alloc = half_loaded(cloud, 40);
+  std::vector<std::uint8_t> ok;
+  for (ClusterId k : cloud.cluster_ids())
+    ASSERT_FALSE(alloc.residual().screen_free_disk(k, 1.0, kEps, ok))
+        << "cluster " << k.value();
+  for (int i_raw = 40; i_raw < cloud.num_clients(); ++i_raw)
+    check_client(alloc, ClientId{i_raw}, counts);
+  EXPECT_GT(counts.disk_rejects, 0);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ Allocation half_loaded(const Cloud& cloud, int placed,
   Allocation alloc(cloud);
   for (int i_raw = 0; i_raw < placed; ++i_raw) {
     const ClientId i{i_raw};
-    const auto plan = best_insertion(alloc, i, opts);
+    const auto plan = best_insertion(alloc.residual(), i, opts);
     if (plan) alloc.assign(i, plan->cluster, plan->placements);
   }
   return alloc;
@@ -64,7 +64,7 @@ TEST(DeltaPriceTest, InsertionDeltaMatchesCloneOracle) {
     const Cloud cloud = workload::make_scenario(params, seed);
     const Allocation alloc = half_loaded(cloud, 30, opts);
     model::profit(alloc);  // settle caches before snapshotting
-    const ResidualView view(alloc);
+    const ResidualView view = alloc.residual();
 
     int priced = 0;
     for (int i_raw = 30; i_raw < cloud.num_clients(); ++i_raw) {
@@ -94,7 +94,7 @@ TEST(DeltaPriceTest, RemovalDeltaMatchesCloneOracle) {
     const Cloud cloud = workload::make_scenario(params, seed);
     const Allocation alloc = half_loaded(cloud, 40, opts);
     model::profit(alloc);
-    const ResidualView view(alloc);
+    const ResidualView view = alloc.residual();
 
     int priced = 0;
     for (int i_raw = 0; i_raw < 40; ++i_raw) {
@@ -121,7 +121,7 @@ TEST(DeltaPriceTest, ReplaceDeltaMatchesOracleAndRestoresView) {
   const Cloud cloud = workload::make_scenario(params, 3);
   const Allocation alloc = half_loaded(cloud, 40, opts);
   model::profit(alloc);
-  ResidualView view(alloc);
+  ResidualView view = alloc.residual();
   const std::vector<double> fp_before = fingerprint(view);
 
   InsertionConstraints constraints;

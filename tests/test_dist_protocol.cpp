@@ -199,6 +199,8 @@ TEST(Codec, MalformedFramesAreRejectedNotFatal) {
       R"("delta":{"base":0,"target":1,"changes":[]}})",
       R"({"proto":1,"type":"improve_request","epoch":1,"round":0,)"
       R"("cluster":0,"delta":{"base":0,"target":1e300,"changes":[]}})",
+      // Nesting past the parser's depth cap.
+      std::string(100000, '['),
   };
   for (const std::string& bytes : cases) {
     std::string error;

@@ -109,10 +109,10 @@ TEST(SerializeFuzz, CorruptedCloudDocumentsRejectCleanly) {
     if (!doc) continue;  // parse-level rejection: fine
     std::string error;
     // Schema-level rejection or success are both fine; death is not.
-    // Note: value corruption that stays schema-valid may legitimately
-    // produce a different cloud — only domain violations would CHECK, and
-    // those only happen for out-of-domain numbers, so restrict flips to
-    // printable chars (above) that usually break parsing first.
+    // Value corruption that stays schema-valid may legitimately produce a
+    // different cloud; a value pushed out of its domain is rejected like
+    // a schema error (SerializeCloud.RejectsOutOfDomainParameters pins
+    // each rule).
     const auto restored = model::cloud_from_json(*doc, &error);
     if (restored) ++parsed_ok;
   }
@@ -197,7 +197,7 @@ TEST(ProfitCacheFuzz, IncrementalMatchesScratchUnderRandomizedPasses) {
     switch (action) {
       case 0: {  // greedy (re)assign via the real insertion machinery
         if (alloc.is_assigned(i)) alloc.clear(i);
-        auto plan = alloc::best_insertion(alloc, i, opts);
+        auto plan = alloc::best_insertion(alloc.residual(), i, opts);
         if (plan) alloc.assign(i, plan->cluster, std::move(plan->placements));
         break;
       }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +98,36 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::parse("1 2").has_value());
   EXPECT_FALSE(Json::parse("\"unterminated").has_value());
   EXPECT_FALSE(Json::parse("").has_value());
+}
+
+TEST(Json, ParseRejectsNestingPastTheCap) {
+  // The parser recurses once per level; uncapped, input this deep
+  // overflows the stack instead of reporting an error.
+  std::string error;
+  EXPECT_FALSE(Json::parse(std::string(1000000, '['), &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  std::string chain;
+  for (int level = 0; level < 100000; ++level) chain += "{\"a\":";
+  error.clear();
+  EXPECT_FALSE(Json::parse(chain, &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const auto objects = [](int depth) {
+    std::string text;
+    for (int level = 0; level < depth; ++level) text += "{\"a\":";
+    return text + "1" + std::string(static_cast<std::size_t>(depth), '}');
+  };
+  for (const std::string& text :
+       {arrays(Json::kMaxParseDepth), objects(Json::kMaxParseDepth)}) {
+    error.clear();
+    EXPECT_TRUE(Json::parse(text, &error).has_value()) << error;
+  }
+  EXPECT_FALSE(Json::parse(arrays(Json::kMaxParseDepth + 1)).has_value());
+  EXPECT_FALSE(Json::parse(objects(Json::kMaxParseDepth + 1)).has_value());
 }
 
 TEST(Json, RoundTripsArbitraryDocument) {

@@ -100,13 +100,15 @@ TEST(SerializeCloud, RejectsWrongFormat) {
 }
 
 /// `doc` with entry `idx` of the first element of array `section` set to
-/// `value`: field `key` of an object entry, or the whole entry of a list.
+/// `value`: field `key` of an object entry (added when absent), or the
+/// whole entry of a list.
 Json with_first(const Json& doc, const char* section, const char* key,
                 std::size_t idx, Json value) {
   JsonObject root = doc.as_object();
   JsonArray list = root.at(section).as_array();
   JsonObject first = list[0].as_object();
-  if (first.at(key).is_array()) {
+  const auto field = first.find(key);
+  if (field != first.end() && field->second.is_array()) {
     JsonArray entries = first.at(key).as_array();
     entries[idx] = std::move(value);
     first[key] = Json(std::move(entries));
@@ -130,6 +132,62 @@ TEST(SerializeCloud, RejectsIdsThatAreNotInts) {
     bad.push_back(with_first(doc, "clusters", "servers", 1, Json(member)));
   bad.push_back(with_first(doc, "servers", "id", 0, Json(1e300)));
   for (const Json& corrupt : bad) {
+    std::string error;
+    EXPECT_FALSE(cloud_from_json(corrupt, &error).has_value())
+        << corrupt.dump();
+    EXPECT_FALSE(error.empty()) << corrupt.dump();
+  }
+}
+
+TEST(SerializeCloud, RejectsOutOfDomainParameters) {
+  // One corrupted document per domain rule of Cloud's constructor: each
+  // must come back as an error instead of reaching the CHECK.
+  const Json doc = cloud_to_json(workload::make_tiny_scenario(4));
+  const auto background = [](double phi_p, double phi_n, double disk) {
+    JsonObject b;
+    b.emplace("phi_p", phi_p);
+    b.emplace("phi_n", phi_n);
+    b.emplace("disk", disk);
+    b.emplace("keeps_on", true);
+    return Json(std::move(b));
+  };
+  ASSERT_TRUE(cloud_from_json(with_first(doc, "servers", "background", 0,
+                                         background(0.2, 0.3, 1.0)))
+                  .has_value());
+  struct Corruption {
+    const char* section;
+    const char* key;
+    Json value;
+  };
+  const std::vector<Corruption> corruptions = {
+      // Server-class capacities and costs.
+      {"server_classes", "cap_p", Json(0.0)},
+      {"server_classes", "cap_n", Json(-1.0)},
+      {"server_classes", "cap_m", Json(-0.5)},
+      {"server_classes", "cost_fixed", Json(-1.0)},
+      {"server_classes", "cost_per_util", Json(-1.0)},
+      // Background shares and disk.
+      {"servers", "background", background(-0.1, 0.3, 1.0)},
+      {"servers", "background", background(1.5, 0.3, 1.0)},
+      {"servers", "background", background(0.2, -0.1, 1.0)},
+      {"servers", "background", background(0.2, 1.5, 1.0)},
+      {"servers", "background", background(0.2, 0.3, -1.0)},
+      // Class, cluster and utility references.
+      {"servers", "server_class", Json(2)},
+      {"servers", "server_class", Json(-1)},
+      {"servers", "cluster", Json(2)},
+      {"servers", "cluster", Json(-1)},
+      {"clients", "utility_class", Json(2)},
+      {"clients", "utility_class", Json(-1)},
+      // Client rates, work and disk.
+      {"clients", "lambda_pred", Json(0.0)},
+      {"clients", "lambda_agreed", Json(-1.0)},
+      {"clients", "alpha_p", Json(0.0)},
+      {"clients", "alpha_n", Json(-1.0)},
+      {"clients", "disk", Json(-0.5)},
+  };
+  for (const Corruption& bad : corruptions) {
+    const Json corrupt = with_first(doc, bad.section, bad.key, 0, bad.value);
     std::string error;
     EXPECT_FALSE(cloud_from_json(corrupt, &error).has_value())
         << corrupt.dump();

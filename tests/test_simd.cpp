@@ -252,7 +252,7 @@ TEST(SimdKernels, DiskScreenMatchesScalarFilter) {
   params.servers_per_cluster = 13;  // odd: vector body + tail
   const auto cloud = workload::make_scenario(params, 59);
   const auto base = churned_allocation(cloud, 61);
-  model::ResidualView view(base);
+  const model::ResidualView view = base.residual();
 
   Rng rng(67);
   std::vector<std::uint8_t> ok;
