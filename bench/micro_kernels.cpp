@@ -78,14 +78,16 @@ void BM_DpDistribute(benchmark::State& state) {
   Rng rng(3);
   const int J = static_cast<int>(state.range(0));
   const int G = static_cast<int>(state.range(1));
-  std::vector<std::vector<double>> scores(
-      static_cast<std::size_t>(J),
-      std::vector<double>(static_cast<std::size_t>(G) + 1, 0.0));
-  for (auto& row : scores)
-    for (std::size_t g = 1; g < row.size(); ++g)
-      row[g] = rng.uniform(-2.0, 2.0);
+  opt::DpTable table;
+  table.reset(G);
+  std::vector<int> rows;
+  for (int j = 0; j < J; ++j) {
+    const int r = table.add_row();
+    for (int g = 1; g <= G; ++g) table.set(r, g, rng.uniform(-2.0, 2.0));
+    rows.push_back(r);
+  }
   for (auto _ : state) {
-    auto result = opt::dp_distribute(scores, G);
+    auto result = opt::dp_distribute(table, rows);
     benchmark::DoNotOptimize(result);
   }
   state.counters["J"] = static_cast<double>(J);

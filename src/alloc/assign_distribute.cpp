@@ -30,11 +30,10 @@ using units::Time;
 using units::Work;
 using units::WorkRate;
 
-/// Shares chosen for one (server, quantum-count) option plus its score.
-struct SliceOption {
+/// Shares of one (row, quantum-count) slice.
+struct SliceShares {
   double phi_p = 0.0;
   double phi_n = 0.0;
-  double score = opt::kDpInfeasible;
 };
 
 /// The client-side constants of one Assign_Distribute(i, k) probe.
@@ -61,7 +60,7 @@ struct ClassNeeds {
 /// fits it (see score_rows).
 using RowKey = std::array<std::uint64_t, 3>;
 
-/// Flat open-addressing map from row key to the first row scored with that
+/// Flat open-addressing map from row key to the table row scored for that
 /// key. Reset per score_rows call; the table only grows, so steady-state
 /// probes allocate nothing.
 class RowMemo {
@@ -94,12 +93,16 @@ class RowMemo {
 
 /// Per-thread scratch: the batched scoring passes' per-quantum buffers
 /// (index g, entry 0 unused, reused across candidate servers), the per-
-/// class needs of the current probe, and the row memo (see score_rows).
+/// class needs of the current probe, the row memo, and the probe's rows
+/// (see score_rows).
 struct Scratch {
   std::vector<ArrivalRate> arr, mu_p, mu_n;
   std::vector<Share> phi_p, phi_n;
   std::vector<Time> delay;
   RowMemo memo;
+  opt::DpTable scores;
+  std::vector<SliceShares> shares;  ///< row r, cell g at r * (G + 1) + g
+  std::vector<int> row_of;          ///< each candidate's table row
   std::vector<ClassNeeds> needs;
   std::vector<std::uint8_t> needs_ready;
   void resize(std::size_t width) {
@@ -154,26 +157,23 @@ bool fits_one_quantum(const ResidualView& view, ServerId j, const Probe& p,
          floor_fits(n.floor1_n, view.free_phi_n(j));
 }
 
-/// Fills the (server, quanta) score table for `cands`. Three passes per
-/// server: size the shares (stopping at the first infeasible g — larger g
-/// only needs more capacity), then the batched service-rate and two-stage
-/// delay kernels over the feasible prefix, then the score combination.
-/// The arithmetic is operation-for-operation the scalar
-/// gps_service_rate / mm1_response_time form, so batching never changes a
-/// score bit.
+/// Scores the rows of `cands` into scratch.scores (and their slice shares
+/// into scratch.shares), each distinct row once, and records each
+/// candidate's row in scratch.row_of. Three passes per row: size the
+/// shares (stopping at the first infeasible g — larger g only needs more
+/// capacity), then the batched service-rate and two-stage delay kernels
+/// over the feasible prefix, then the score combination. The arithmetic is
+/// operation-for-operation the scalar gps_service_rate / mm1_response_time
+/// form, so batching never changes a score bit.
 void score_rows(const ResidualView& view, const Probe& p,
-                const std::vector<ServerId>& cands,
-                std::vector<std::vector<SliceOption>>& options,
-                std::vector<std::vector<double>>& scores, Scratch& scratch) {
+                const std::vector<ServerId>& cands, Scratch& scratch) {
   const Client& c = p.c;
   const int G = p.G;
   const std::size_t width = static_cast<std::size_t>(G) + 1;
-  // Callers hand in long-lived buffers; resize + per-row assign below
-  // reuses row capacity instead of reallocating every call.
-  options.resize(cands.size());
-  scores.resize(cands.size());
   scratch.resize(width);
   scratch.memo.reset(cands.size());
+  scratch.scores.reset(G);
+  scratch.row_of.resize(cands.size());
 
   for (std::size_t idx = 0; idx < cands.size(); ++idx) {
     const ServerId j = cands[idx];
@@ -187,7 +187,7 @@ void score_rows(const ResidualView& view, const Probe& p,
     // preferred size grow with g, so when a resource's g = G demand fits
     // its free share, no share of that resource on the row touches the
     // clamp and the free share drops out. Keyed that way, equal keys
-    // score bitwise-equal rows; copying one is exact.
+    // score bitwise-equal rows, so candidates with equal keys share one.
     const ClassNeeds& needs = scratch.needs_of(p, j);
     const bool unclamped_p = needs.need_p.value() <= free_p;
     const bool unclamped_n = needs.need_n.value() <= free_n;
@@ -200,17 +200,16 @@ void score_rows(const ResidualView& view, const Probe& p,
         unclamped_n ? 0 : std::bit_cast<std::uint64_t>(free_n)};
     int& memo = scratch.memo.find(key);
     if (memo >= 0) {
-      const auto src = static_cast<std::size_t>(memo);
-      options[idx] = options[src];
-      scores[idx] = scores[src];
+      scratch.row_of[idx] = memo;
       continue;
     }
-    memo = static_cast<int>(idx);
-
-    options[idx].assign(width, SliceOption{});
-    scores[idx].assign(width, opt::kDpInfeasible);
-    scores[idx][0] = 0.0;
-    options[idx][0].score = 0.0;
+    const int r = scratch.scores.add_row();
+    memo = r;
+    scratch.row_of[idx] = r;
+    const std::size_t base = static_cast<std::size_t>(r) * width;
+    if (scratch.shares.size() < base + width)
+      scratch.shares.resize(base + width);
+    SliceShares* const shares = scratch.shares.data() + base;
 
     // Batched share sizing over the whole psi grid (SIMD lanes; bitwise
     // the historical per-g size_share loop — see size_share_grid). The
@@ -241,9 +240,9 @@ void score_rows(const ResidualView& view, const Probe& p,
           -c.lambda_agreed * p.slope * psi * scratch.delay[gg].value();
       score -= sc.cost_per_util * psi * c.lambda_pred * c.alpha_p / sc.cap_p;
       if (!was_active) score -= sc.cost_fixed;
-      options[idx][gg] = SliceOption{scratch.phi_p[gg].value(),
-                                     scratch.phi_n[gg].value(), score};
-      scores[idx][gg] = score;
+      shares[gg] = SliceShares{scratch.phi_p[gg].value(),
+                               scratch.phi_n[gg].value()};
+      scratch.scores.set(r, g, score);
     }
   }
 }
@@ -251,8 +250,7 @@ void score_rows(const ResidualView& view, const Probe& p,
 InsertionPlan build_plan(const Client& c, const Cloud& cloud, ClientId i,
                          ClusterId k, int G,
                          const std::vector<ServerId>& cands,
-                         const std::vector<std::vector<SliceOption>>& options,
-                         const opt::DpResult& dp) {
+                         const Scratch& scratch, const opt::DpResult& dp) {
   InsertionPlan plan;
   plan.cluster = k;
   // Constant part of the linearized revenue (psi sums to one).
@@ -260,15 +258,18 @@ InsertionPlan build_plan(const Client& c, const Cloud& cloud, ClientId i,
   std::size_t used = 0;
   for (int g : dp.quanta) used += g > 0 ? 1 : 0;
   plan.placements.reserve(used);
+  const std::size_t width = static_cast<std::size_t>(G) + 1;
   for (std::size_t idx = 0; idx < cands.size(); ++idx) {
     const int g = dp.quanta[idx];
     if (g == 0) continue;
-    const SliceOption& option = options[idx][static_cast<std::size_t>(g)];
+    const SliceShares& shares =
+        scratch.shares[static_cast<std::size_t>(scratch.row_of[idx]) * width +
+                       static_cast<std::size_t>(g)];
     Placement p;
     p.server = cands[idx];
     p.psi = static_cast<double>(g) / static_cast<double>(G);
-    p.phi_p = option.phi_p;
-    p.phi_n = option.phi_n;
+    p.phi_p = shares.phi_p;
+    p.phi_n = shares.phi_n;
     plan.placements.push_back(p);
   }
   CHECK(!plan.placements.empty());
@@ -322,12 +323,10 @@ std::optional<InsertionPlan> assign_distribute(
   if (cands.empty()) return std::nullopt;
   if (stats != nullptr) ++stats->full_solves;
 
-  thread_local std::vector<std::vector<SliceOption>> options;
-  thread_local std::vector<std::vector<double>> scores;
-  score_rows(view, p, cands, options, scores, scratch);
-  const auto dp = opt::dp_distribute(scores, G);
+  score_rows(view, p, cands, scratch);
+  const auto dp = opt::dp_distribute(scratch.scores, scratch.row_of);
   if (!dp) return std::nullopt;
-  return build_plan(c, cloud, i, k, G, cands, options, *dp);
+  return build_plan(c, cloud, i, k, G, cands, scratch, *dp);
 }
 
 std::optional<InsertionPlan> best_insertion(

@@ -303,7 +303,16 @@ std::optional<InsertionPlan> reference_insertion(
     slices.push_back(std::move(row_slices));
   }
   if (scores.empty()) return std::nullopt;
-  const auto dp = opt::dp_distribute(scores, G);
+  opt::DpTable table;
+  table.reset(G);
+  std::vector<int> rows;
+  for (const auto& cells : scores) {
+    const int r = table.add_row();
+    for (int g = 1; g <= G; ++g)
+      table.set(r, g, cells[static_cast<std::size_t>(g)]);
+    rows.push_back(r);
+  }
+  const auto dp = opt::dp_distribute(table, rows);
   if (!dp) return std::nullopt;
   InsertionPlan plan;
   plan.cluster = k;

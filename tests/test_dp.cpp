@@ -1,5 +1,6 @@
 #include "opt/dp.h"
 
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,21 @@
 
 namespace cloudalloc::opt {
 namespace {
+
+/// Runs dp_distribute on `scores`, one table row per server.
+std::optional<DpResult> run_dp(const std::vector<std::vector<double>>& scores,
+                               int G) {
+  DpTable table;
+  table.reset(G);
+  std::vector<int> rows;
+  for (const auto& cells : scores) {
+    const int r = table.add_row();
+    for (int g = 1; g <= G; ++g)
+      table.set(r, g, cells[static_cast<std::size_t>(g)]);
+    rows.push_back(r);
+  }
+  return dp_distribute(table, rows);
+}
 
 // Exhaustive reference for small (J, G).
 double brute_best(const std::vector<std::vector<double>>& scores, int G) {
@@ -42,7 +58,7 @@ double brute_best(const std::vector<std::vector<double>>& scores, int G) {
 
 TEST(Dp, SingleServerTakesAll) {
   const std::vector<std::vector<double>> scores{{0.0, 1.0, 3.0, 4.0}};
-  const auto result = dp_distribute(scores, 3);
+  const auto result = run_dp(scores, 3);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->quanta, std::vector<int>({3}));
   EXPECT_DOUBLE_EQ(result->score, 4.0);
@@ -52,7 +68,7 @@ TEST(Dp, PrefersConcentrationWhenSuperadditive) {
   // Concave per-server? No: strictly better to give one server everything.
   const std::vector<std::vector<double>> scores{{0.0, 1.0, 5.0},
                                                 {0.0, 1.0, 5.0}};
-  const auto result = dp_distribute(scores, 2);
+  const auto result = run_dp(scores, 2);
   ASSERT_TRUE(result.has_value());
   EXPECT_DOUBLE_EQ(result->score, 5.0);
 }
@@ -60,7 +76,7 @@ TEST(Dp, PrefersConcentrationWhenSuperadditive) {
 TEST(Dp, SplitsWhenSubadditive) {
   const std::vector<std::vector<double>> scores{{0.0, 3.0, 4.0},
                                                 {0.0, 3.0, 4.0}};
-  const auto result = dp_distribute(scores, 2);
+  const auto result = run_dp(scores, 2);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->quanta, std::vector<int>({1, 1}));
   EXPECT_DOUBLE_EQ(result->score, 6.0);
@@ -70,7 +86,7 @@ TEST(Dp, HonorsInfeasibleMarks) {
   // Server 0 cannot take 2 quanta; the only way to place G=2 is 1+1.
   const std::vector<std::vector<double>> scores{{0.0, 1.0, kDpInfeasible},
                                                 {0.0, 1.0, 10.0}};
-  const auto result = dp_distribute(scores, 2);
+  const auto result = run_dp(scores, 2);
   ASSERT_TRUE(result.has_value());
   // 0+2 on server 1 scores 10, 1+1 scores 2: DP must pick 10.
   EXPECT_EQ(result->quanta, std::vector<int>({0, 2}));
@@ -79,13 +95,13 @@ TEST(Dp, HonorsInfeasibleMarks) {
 TEST(Dp, InfeasibleWhenNothingFits) {
   const std::vector<std::vector<double>> scores{
       {0.0, kDpInfeasible, kDpInfeasible}};
-  EXPECT_FALSE(dp_distribute(scores, 2).has_value());
+  EXPECT_FALSE(run_dp(scores, 2).has_value());
 }
 
 TEST(Dp, NegativeScoresStillFeasible) {
   const std::vector<std::vector<double>> scores{{0.0, -5.0, -8.0},
                                                 {0.0, -4.0, -9.0}};
-  const auto result = dp_distribute(scores, 2);
+  const auto result = run_dp(scores, 2);
   ASSERT_TRUE(result.has_value());
   // Options: (2,0) = -8, (1,1) = -9, (0,2) = -9; best is -8.
   EXPECT_DOUBLE_EQ(result->score, -8.0);
@@ -103,7 +119,7 @@ TEST(Dp, QuantaAlwaysSumToG) {
     for (auto& row : scores)
       for (std::size_t g = 1; g < row.size(); ++g)
         row[g] = rng.bernoulli(0.15) ? kDpInfeasible : rng.uniform(-3.0, 3.0);
-    const auto result = dp_distribute(scores, G);
+    const auto result = run_dp(scores, G);
     const double brute = brute_best(scores, G);
     if (!result) {
       EXPECT_LE(brute, kDpInfeasible);
