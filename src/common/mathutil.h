@@ -2,8 +2,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 
 #include "common/check.h"
@@ -31,9 +33,11 @@ inline double rel_gain(double before, double now) {
 
 /// Finds a root of a continuous monotone function `f` on [lo, hi] by
 /// bisection. Requires f(lo) and f(hi) to bracket zero (opposite signs or
-/// one of them zero); returns the midpoint after `iters` halvings.
-/// Templated so callers' lambdas inline — the solvers evaluate f millions
-/// of times per allocator run and a std::function hop dominated them.
+/// one of them zero); returns the midpoint after `iters` halvings, or
+/// after fewer once the bracket can shrink no further (same result: see
+/// the loop). `f` must be pure. Templated so callers' lambdas inline — the
+/// solvers evaluate f millions of times per allocator run and a
+/// std::function hop dominated them.
 template <class F>
 double bisect(const F& f, double lo, double hi, int iters = 80) {
   CHECK(lo <= hi);
@@ -44,6 +48,12 @@ double bisect(const F& f, double lo, double hi, int iters = 80) {
   CHECK_MSG((flo < 0.0) != (fhi < 0.0), "bisect: endpoints do not bracket");
   for (int it = 0; it < iters; ++it) {
     const double mid = 0.5 * (lo + hi);
+    // A midpoint with the bits of an endpoint repeats that endpoint's f,
+    // so this step and every later one would reassign the same endpoint:
+    // the result is already fixed.
+    if (std::bit_cast<std::uint64_t>(mid) == std::bit_cast<std::uint64_t>(lo) ||
+        std::bit_cast<std::uint64_t>(mid) == std::bit_cast<std::uint64_t>(hi))
+      break;
     const double fm = f(mid);
     if (fm == 0.0) return mid;
     if ((fm < 0.0) == (flo < 0.0)) {
