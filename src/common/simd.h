@@ -42,6 +42,24 @@ namespace cloudalloc::simd {
 #define CLOUDALLOC_SIMD_X86 0
 #endif
 
+// GCC fixes the mask type of a vector comparison when it lowers the
+// function that holds it, so an always-inline body instantiated outside any
+// target region keeps the baseline ISA's mask type even once inlined into
+// an avx512f wrapper. There, a body that ANDs comparison results (the
+// queueing kernels' stability tests) is lowered one lane at a time
+// (vcomisd / seta / vpinsrq per lane). Explicitly instantiating the
+// width-8 body between these two markers gives it AVX-512 mask types:
+// vcmppd into k registers and masked blends. Clang lowers vector code
+// after inlining and needs no region, so the markers are empty there.
+#if CLOUDALLOC_SIMD_X86 && defined(__GNUC__) && !defined(__clang__)
+#define CLOUDALLOC_SIMD_AVX512_BEGIN \
+  _Pragma("GCC push_options") _Pragma("GCC target(\"avx512f\")")
+#define CLOUDALLOC_SIMD_AVX512_END _Pragma("GCC pop_options")
+#else
+#define CLOUDALLOC_SIMD_AVX512_BEGIN
+#define CLOUDALLOC_SIMD_AVX512_END
+#endif
+
 template <int W>
 struct LaneTraits;
 

@@ -104,6 +104,18 @@ template <int W>
 // --- per-ISA wrappers ----------------------------------------------------
 // The always-inline template bodies compile inside these target-attributed
 // functions, so the same source lowers to xmm/ymm/zmm code respectively.
+// The width-8 bodies that combine comparisons are instantiated under
+// avx512f first, or GCC would lower those comparisons lane by lane (see
+// CLOUDALLOC_SIMD_AVX512_BEGIN in common/simd.h).
+
+#if CLOUDALLOC_SIMD_X86
+CLOUDALLOC_SIMD_AVX512_BEGIN
+template void mm1_w<8>(const ArrivalRate*, const ArrivalRate*, Time*,
+                       std::size_t);
+template void two_stage_w<8>(const ArrivalRate*, const ArrivalRate*,
+                             const ArrivalRate*, Time*, std::size_t);
+CLOUDALLOC_SIMD_AVX512_END
+#endif
 
 void gps_rates_scalar(const Share* phi, double cap, double alpha,
                       ArrivalRate* mu, std::size_t n) {
