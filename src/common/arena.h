@@ -1,22 +1,23 @@
 // Arena: a page-backed bump allocator for frame-scoped scratch memory.
 //
-// The allocator hot paths (work-stealing deques, profiler event pages,
-// per-worker snapshot scratch) allocate many short-lived blocks whose
-// lifetimes end together at a well-defined boundary — the end of a block,
-// an epoch, or a dump. A bump allocator turns each of those allocations
+// Scratch of this kind is many short-lived blocks whose lifetimes end
+// together at a well-defined boundary — the end of a block, an epoch, or
+// a dump. A bump allocator turns each of those allocations
 // into a pointer increment against a chain of malloc'd pages, and the
 // collective free into a pointer rewind: reset() (or a scoped Frame)
 // recycles every byte without touching the general-purpose heap, so
 // steady-state epochs run allocation-free once the page chain has grown
 // to its high-water mark.
 //
-// Not thread-safe: one Arena per owner (worker deque, thread log, scratch
-// slot). Alignment is honored per allocation; pages double up to kMaxPage
-// so a mis-sized first page never causes O(n) page chaining. Oversized
-// requests get a dedicated page and leave the bump page untouched.
+// Not thread-safe: one Arena per owner. The owners are the profiler's
+// (common/prof.cpp): each thread log's event pages, and the process-wide
+// arena holding the logs. Alignment is honored per allocation; pages
+// double up to kMaxPage so a mis-sized first page never causes O(n) page
+// chaining. Oversized requests get a dedicated page and leave the bump
+// page untouched.
 //
 // ArenaVector<T> is the typed companion: a minimal contiguous array over
-// arena memory for trivially destructible T (tasks, events, ids). Growth
+// arena memory for trivially destructible T (events, ids). Growth
 // abandons the old block inside the arena — bounded by the doubling
 // policy at < 2x the final size, all reclaimed by the next reset().
 #pragma once

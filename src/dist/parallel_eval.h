@@ -1,9 +1,10 @@
-// ParallelEval: the allocator-facing façade of the parallel evaluation
-// engine. It runs deterministic index/chunk fan-outs either inline (no
-// pool, the default) or on a dist::ThreadPool, with the invariant that the
-// work decomposition depends only on the problem size — never on the
-// worker count — so any reduction over per-task results is bit-identical
-// at every thread count, including 1.
+// ParallelEval: the one entry point of every parallel fan-out (multi-start
+// greedy, sharded block pricing, snapshot reassign, the shared-memory agent
+// round, simulator replications). It runs deterministic index/chunk
+// fan-outs either inline (no pool, the default) or on a dist::ThreadPool,
+// with the invariant that the work decomposition depends only on the
+// problem size — never on the worker count — so any reduction over
+// per-task results is bit-identical at every thread count, including 1.
 //
 // Seed-splitting convention (see DESIGN.md "Threading model"): a caller
 // that needs randomness per task draws one 64-bit seed per task from its
@@ -12,7 +13,7 @@
 // way regardless of how the tasks are scheduled.
 #pragma once
 
-#include <functional>
+#include <algorithm>
 
 #include "dist/thread_pool.h"
 
@@ -27,10 +28,10 @@ class ParallelEval {
   explicit ParallelEval(ThreadPool* pool) : pool_(pool) {}
 
   bool parallel() const { return pool_ != nullptr && pool_->num_workers() > 1; }
-  int num_workers() const { return parallel() ? pool_->num_workers() : 1; }
 
   /// Runs fn(0..n-1); one task per index. Blocks until all complete.
-  void for_n(int n, const std::function<void(int)>& fn) const {
+  template <typename Fn>
+  void for_n(int n, const Fn& fn) const {
     if (parallel()) {
       pool_->parallel_for(n, fn);
     } else {
@@ -41,13 +42,13 @@ class ParallelEval {
   /// Runs fn(begin, end) over chunks of `grain` consecutive indices. Chunk
   /// boundaries are identical inline and pooled, so per-chunk scratch state
   /// cannot leak scheduling into results.
-  void for_chunks(int n, int grain,
-                  const std::function<void(int, int)>& fn) const {
+  template <typename Fn>
+  void for_chunks(int n, int grain, const Fn& fn) const {
     if (parallel()) {
       pool_->parallel_for_chunked(n, grain, fn);
     } else {
       for (int begin = 0; begin < n; begin += grain)
-        fn(begin, begin + grain < n ? begin + grain : n);
+        fn(begin, std::min(begin + grain, n));
     }
   }
 

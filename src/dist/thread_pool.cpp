@@ -1,122 +1,26 @@
 #include "dist/thread_pool.h"
 
-#include <algorithm>
-#include <exception>
 #include <map>
 #include <memory>
-#include <utility>
-
-#include "common/check.h"
 
 namespace cloudalloc::dist {
 
-namespace {
-
-/// Worker identity for the thread-currently-running: which pool (if any)
-/// this thread belongs to and its index there. External threads see
-/// {nullptr, -1}. Set once at worker startup; nested fan-outs read it to
-/// decide between the local-push and scatter paths.
-struct WorkerIdentity {
-  const ThreadPool* pool = nullptr;
-  int index = -1;
-};
-thread_local WorkerIdentity t_worker;
-
-/// Per-thread xorshift for victim selection. Steal order affects only
-/// which thread runs a chunk, never what the chunk computes, so this
-/// randomness is invisible in results.
-std::uint32_t next_victim_seed() {
-  thread_local std::uint32_t state = [] {
-    const auto tid = std::hash<std::thread::id>{}(std::this_thread::get_id());
-    return static_cast<std::uint32_t>(tid | 1u);
-  }();
-  state ^= state << 13;
-  state ^= state >> 17;
-  state ^= state << 5;
-  return state;
-}
-
-/// Boxed callable for the cold submit() path.
-struct HeapTask {
-  std::packaged_task<void()> task;
-};
-
-}  // namespace
-
-/// Completion state shared by one fan-out's tasks. Lives on the caller's
-/// stack; tasks hold a raw pointer, which the drain contract keeps valid
-/// (the caller cannot unwind before the batch is done).
-struct ThreadPool::Batch {
-  explicit Batch(int tasks)
-      : remaining(tasks), errors(static_cast<std::size_t>(tasks)) {}
-  std::atomic<int> remaining;
-  std::vector<std::exception_ptr> errors;  ///< slot-indexed, write-once
-  sync::Mutex mutex;
-  sync::CondVar cv;
-  bool done GUARDED_BY(mutex) = false;  ///< the ONLY completion signal
-
-  void finish_one() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Completion is published — and observed — only under the mutex,
-      // with the notify inside the critical section. The caller can
-      // therefore see done==true only after this critical section ends,
-      // at which point the finisher never touches the batch again: the
-      // stack Batch cannot be destroyed under a live notify or wait.
-      sync::MutexLock lock(mutex);
-      done = true;
-      cv.notify_all();
-    }
-  }
-
-  bool is_done() {
-    sync::MutexLock lock(mutex);
-    return done;
-  }
-};
-
-// --- deque ----------------------------------------------------------------
-
-bool ThreadPool::Deque::push(const Task& task) {
-  if (tail - head == capacity) return false;
-  ring[tail & (capacity - 1)] = task;
-  ++tail;
-  return true;
-}
-
-void ThreadPool::Deque::grow_and_push(const Task& task) {
-  const std::size_t new_cap = capacity == 0 ? 256 : capacity * 2;
-  Task* fresh = static_cast<Task*>(
-      arena.allocate(new_cap * sizeof(Task), alignof(Task)));
-  for (std::size_t i = head; i != tail; ++i)
-    fresh[i & (new_cap - 1)] = ring[i & (capacity - 1)];
-  ring = fresh;  // old ring stays in the arena until it is destroyed
-  capacity = new_cap;
-  CHECK(push(task));
-}
-
-// --- pool lifecycle -------------------------------------------------------
-
 ThreadPool::ThreadPool(int workers) {
   CHECK(workers >= 1);
-  deques_.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    deques_.push_back(std::make_unique<Deque>());
   threads_.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w)
-    threads_.emplace_back([this, w] { worker_loop(w); });
+    threads_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
 void ThreadPool::shutdown() {
   {
-    sync::MutexLock lock(sleep_mutex_);
-    if (stopping_.load(std::memory_order_relaxed) && threads_.empty())
-      return;  // already shut down
-    stopping_.store(true, std::memory_order_relaxed);
+    sync::MutexLock lock(mutex_);
+    stopping_ = true;
   }
-  sleep_cv_.notify_all();
-  // Workers keep taking until every deque is empty, so queued work drains.
+  work_cv_.notify_all();
+  // Workers finish the batch they are in and leave once nothing is listed.
   for (auto& t : threads_) t.join();
   threads_.clear();
 }
@@ -130,198 +34,66 @@ ThreadPool& ThreadPool::shared(int workers) {
   // Intentionally leaked registry: shared pools must outlive every static
   // whose destructor might still fan out, so they are reclaimed by the OS
   // at process exit rather than by a destruction-order lottery. Workers
-  // sleep when idle; leaking them costs file-descriptor-free parked
-  // threads, not CPU.
+  // sleep when idle; leaking them costs parked threads, not CPU.
   sync::MutexLock lock(mutex);
   std::unique_ptr<ThreadPool>& slot = pools[workers];
   if (slot == nullptr) slot = std::make_unique<ThreadPool>(workers);
   return *slot;
 }
 
-// --- scheduling -----------------------------------------------------------
+void ThreadPool::Batch::claim() {
+  for (int i = next.fetch_add(1); i < tasks; i = next.fetch_add(1)) {
+    try {
+      invoke(fn, i);
+    } catch (...) {
+      errors[static_cast<std::size_t>(i)] = std::current_exception();
+    }
+  }
+}
 
-void ThreadPool::enqueue(const Task& task, int self) {
-  // Workers push to their own tail (LIFO locality; thieves balance).
-  // External callers scatter round-robin so the first chunks already
-  // start spread across workers.
-  const std::size_t target =
-      self >= 0 ? static_cast<std::size_t>(self)
-                : scatter_.fetch_add(1, std::memory_order_relaxed) %
-                      deques_.size();
-  Deque& dq = *deques_[target];
+void ThreadPool::unlist(Batch& batch) {
+  const auto it = std::find(listed_.begin(), listed_.end(), &batch);
+  if (it != listed_.end()) listed_.erase(it);
+}
+
+void ThreadPool::run(Batch& batch) {
   {
-    sync::MutexLock lock(dq.mutex);
-    if (!dq.push(task)) dq.grow_and_push(task);
+    sync::MutexLock lock(mutex_);
+    listed_.push_back(&batch);
   }
-  pending_.fetch_add(1, std::memory_order_release);
-}
-
-bool ThreadPool::try_run_one(int self) {
-  const int n = static_cast<int>(deques_.size());
-  // Own deque first, newest first: a worker finishing its nested fan-out
-  // wants its own just-pushed chunks.
-  if (self >= 0) {
-    Deque& own = *deques_[static_cast<std::size_t>(self)];
-    Task task;
-    bool got = false;
-    {
-      sync::MutexLock lock(own.mutex);
-      if (own.tail != own.head) {
-        --own.tail;
-        task = own.ring[own.tail & (own.capacity - 1)];
-        got = true;
-      }
-    }
-    if (got) {
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      run_task(task);
-      return true;
-    }
+  work_cv_.notify_all();
+  batch.claim();
+  {
+    // Every index is claimed. Unlisting stops new workers from joining;
+    // the ones inside are running the last indices and leave when done.
+    // Waiting for them (not just for the tasks) keeps the stack Batch
+    // alive until no thread can touch it.
+    sync::MutexLock lock(mutex_);
+    unlist(batch);
+    while (batch.joined > 0) left_cv_.wait(lock);
   }
-  // Steal sweep from a random start; oldest first on the victim.
-  const auto start = static_cast<int>(next_victim_seed() %
-                                      static_cast<std::uint32_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const int v = (start + i) % n;
-    if (v == self) continue;
-    Deque& victim = *deques_[static_cast<std::size_t>(v)];
-    Task task;
-    bool got = false;
-    {
-      sync::MutexLock lock(victim.mutex);
-      if (victim.tail != victim.head) {
-        task = victim.ring[victim.head & (victim.capacity - 1)];
-        ++victim.head;
-        got = true;
-      }
-    }
-    if (got) {
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      run_task(task);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::run_task(const Task& task) {
-  if (task.kind == Task::Kind::kHeap) {
-    std::unique_ptr<HeapTask> boxed(static_cast<HeapTask*>(task.heap));
-    boxed->task();  // packaged_task captures exceptions into the future
-    return;
-  }
-  Batch* batch = task.batch;
-  try {
-    if (task.kind == Task::Kind::kIndex) {
-      (*static_cast<const std::function<void(int)>*>(task.fn))(task.begin);
-    } else {
-      (*static_cast<const std::function<void(int, int)>*>(task.fn))(
-          task.begin, task.end);
-    }
-  } catch (...) {
-    // Write-once into this task's own slot; rethrown lowest-slot-first
-    // after the drain.
-    batch->errors[static_cast<std::size_t>(task.slot)] =
-        std::current_exception();
-  }
-  batch->finish_one();
-}
-
-void ThreadPool::worker_loop(int self) {
-  t_worker = WorkerIdentity{this, self};
-  for (;;) {
-    if (try_run_one(self)) continue;
-    sync::MutexLock lock(sleep_mutex_);
-    // Wake conditions live in atomics (stopping_/pending_), not guarded
-    // state; the mutex only serializes the sleep/notify handshake. The
-    // wait loop is spelled out so every check is analysis-visible.
-    while (!(stopping_.load(std::memory_order_relaxed) ||
-             pending_.load(std::memory_order_acquire) > 0))
-      sleep_cv_.wait(lock);
-    if (stopping_.load(std::memory_order_relaxed) &&
-        pending_.load(std::memory_order_acquire) == 0)
-      return;
-  }
-}
-
-void ThreadPool::help_until_done(Batch& batch, int self) {
-  // Completion is checked through is_done() (never the bare atomic): the
-  // caller destroys the stack Batch right after this returns, so the
-  // return must happen-after the last finisher left finish_one's
-  // critical section.
-  while (!batch.is_done()) {
-    if (try_run_one(self)) continue;
-    // Nothing stealable anywhere: the batch's stragglers are in flight on
-    // other threads. Park until the last finisher signals done.
-    sync::MutexLock lock(batch.mutex);
-    while (!batch.done) batch.cv.wait(lock);
-    return;
-  }
-}
-
-void ThreadPool::fan_out(int tasks, Task::Kind kind, int grain,
-                         const void* fn) {
-  Batch batch(tasks);
-  const int self =
-      t_worker.pool == this ? t_worker.index : -1;
-  for (int t = 0; t < tasks; ++t) {
-    Task task;
-    task.kind = kind;
-    task.slot = t;
-    task.batch = &batch;
-    task.fn = fn;
-    if (kind == Task::Kind::kIndex) {
-      task.begin = t;
-    } else {
-      task.begin = t * grain;
-      task.end = std::min(task.begin + grain, tasks * grain);
-    }
-    enqueue(task, self);
-  }
-  // One wakeup per fan-out: waking everyone lets idle workers start
-  // stealing immediately; spurious wakeups just go back to sleep.
-  sleep_cv_.notify_all();
-  help_until_done(batch, self);
   for (const std::exception_ptr& e : batch.errors)
     if (e) std::rethrow_exception(e);
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  CHECK_MSG(!stopping_.load(std::memory_order_relaxed),
-            "submit after shutdown");
-  auto boxed = std::make_unique<HeapTask>();
-  boxed->task = std::packaged_task<void()>(std::move(task));
-  std::future<void> future = boxed->task.get_future();
-  Task record;
-  record.kind = Task::Kind::kHeap;
-  record.heap = boxed.release();
-  const int self = t_worker.pool == this ? t_worker.index : -1;
-  enqueue(record, self);
-  sleep_cv_.notify_one();
-  return future;
-}
-
-void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  fan_out(n, Task::Kind::kIndex, 1, &fn);
-}
-
-void ThreadPool::parallel_for_chunked(
-    int n, int grain, const std::function<void(int, int)>& fn) {
-  if (n <= 0) return;
-  CHECK(grain >= 1);
-  const int chunks = (n + grain - 1) / grain;
-  // fan_out computes [t*grain, min((t+1)*grain, chunks*grain)); clamp the
-  // last chunk to n exactly as the historical loop did.
-  struct Clamped {
-    const std::function<void(int, int)>* fn;
-    int n;
-    void operator()(int begin, int end) const {
-      (*fn)(begin, end < n ? end : n);
+void ThreadPool::worker_loop() {
+  for (;;) {
+    Batch* batch = nullptr;
+    {
+      sync::MutexLock lock(mutex_);
+      while (!stopping_ && listed_.empty()) work_cv_.wait(lock);
+      if (listed_.empty()) return;  // stopping, nothing left to join
+      batch = listed_.back();
+      ++batch->joined;
     }
-  };
-  const std::function<void(int, int)> clamped = Clamped{&fn, n};
-  fan_out(chunks, Task::Kind::kChunk, grain, &clamped);
+    batch->claim();
+    {
+      // The counter ran out, so no later joiner could claim anything.
+      sync::MutexLock lock(mutex_);
+      unlist(*batch);
+      if (--batch->joined == 0) left_cv_.notify_all();
+    }
+  }
 }
 
 }  // namespace cloudalloc::dist

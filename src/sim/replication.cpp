@@ -6,7 +6,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "dist/thread_pool.h"
+#include "dist/parallel_eval.h"
 
 namespace cloudalloc::sim {
 
@@ -34,12 +34,10 @@ ReplicationReport run_replications(const model::Allocation& alloc,
     sopts.seed = seeds[static_cast<std::size_t>(r)];
     runs[static_cast<std::size_t>(r)] = simulate_allocation(alloc, sopts);
   };
-  if (opts.num_threads > 1) {
-    dist::ThreadPool::shared(std::min(opts.num_threads, R))
-        .parallel_for(R, run_one);
-  } else {
-    for (int r = 0; r < R; ++r) run_one(r);
-  }
+  const int workers = std::min(opts.num_threads, R);
+  const dist::ParallelEval eval(
+      workers > 1 ? &dist::ThreadPool::shared(workers) : nullptr);
+  eval.for_n(R, run_one);
 
   // Merge in replication order: every replication simulates the same
   // allocation, so client/server row r lines up across runs.

@@ -8,7 +8,7 @@
 // and the across-replication sample variance gives a proper CI.
 //
 // Replications are embarrassingly parallel, so the runner fans them out
-// over a dist::ThreadPool. Per-replication seeds are derived up front
+// through dist::ParallelEval. Per-replication seeds are derived up front
 // from the base seed by drawing from a dedicated xoshiro256** stream
 // (replication_seeds), and merging walks replication results in index
 // order — so the report is bit-identical at 1 worker thread or N.

@@ -144,7 +144,7 @@ _RAW_THREAD_RE = re.compile(r"\bstd::j?thread\b(?!::)|\bstd::async\s*\(")
 
 @register(
     "raw-thread",
-    "ad-hoc std::thread/std::async outside the work-stealing pool's home")
+    "ad-hoc std::thread/std::async outside the fan-out pool's home")
 def raw_thread(source: SourceFile) -> Iterator[Finding]:
     if _is_test(source.rel) or source.rel.startswith(THREAD_HOME_PREFIXES):
         return
