@@ -8,8 +8,8 @@
 //             [--threads=N]
 //       Solve and save the allocation. --threads sets the parallel
 //       evaluation engine's worker count for heuristic/dist (1 =
-//       sequential, 0 = hardware concurrency; the result is identical
-//       either way, only faster).
+//       sequential, 0 = hardware concurrency, at most 256; the result is
+//       identical either way, only faster).
 //   audit     --cloud=cloud.json --alloc=alloc.json
 //       Re-load both, audit feasibility, print the profit breakdown.
 //   simulate  --cloud=cloud.json --alloc=alloc.json [--horizon=1000]
@@ -23,12 +23,18 @@
 //       synthetic diurnal trace and print the per-epoch report; exits 1
 //       if an epoch leaves an infeasible allocation.
 //
+// Numeric flags are range-checked before anything runs: a malformed or
+// out-of-range value prints "error: --<flag> ..." and exits 1.
+//
 // Document schemas: docs/FORMAT.md.
 //
 // Everything round-trips: `generate | allocate | audit | simulate` uses
 // only the files, so results are portable and replayable.
 #include <chrono>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "alloc/allocator.h"
@@ -55,6 +61,34 @@ namespace {
 int fail(const std::string& message) {
   std::cerr << "error: " << message << "\n";
   return 1;
+}
+
+constexpr std::int64_t kMaxSeed = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxCount = std::numeric_limits<int>::max();
+/// --threads sizes a process-wide ThreadPool::shared, so it is capped.
+constexpr std::int64_t kMaxThreads = 256;
+
+/// Strict flag reads: report "error: --<flag> ..." and yield nullopt when
+/// the value is malformed or outside [lo, hi].
+std::optional<std::int64_t> int_flag(const Args& args, const std::string& name,
+                                     std::int64_t fallback, std::int64_t lo,
+                                     std::int64_t hi) {
+  std::string error;
+  const auto value = args.get_int_in(name, fallback, lo, hi, &error);
+  if (!value) fail(error);
+  return value;
+}
+
+std::optional<double> double_flag(const Args& args, const std::string& name,
+                                  double fallback, double lo, double hi) {
+  std::string error;
+  const auto value = args.get_double_in(name, fallback, lo, hi, &error);
+  if (!value) fail(error);
+  return value;
+}
+
+std::optional<std::int64_t> seed_flag(const Args& args) {
+  return int_flag(args, "seed", 1, 0, kMaxSeed);
 }
 
 std::optional<model::Cloud> load_cloud(const Args& args) {
@@ -105,10 +139,13 @@ std::optional<model::Allocation> load_allocation(const Args& args,
 }
 
 int cmd_generate(const Args& args) {
+  const auto clients = int_flag(args, "clients", 100, 1, 1'000'000);
+  const auto seed = seed_flag(args);
+  if (!clients || !seed) return 1;
   workload::ScenarioParams params;
-  params.num_clients = static_cast<int>(args.get_int("clients", 100));
-  const auto cloud = workload::make_scenario(
-      params, static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  params.num_clients = static_cast<int>(*clients);
+  const auto cloud =
+      workload::make_scenario(params, static_cast<std::uint64_t>(*seed));
   const std::string out = args.get("out", "cloud.json");
   if (!model::save_text_file(out, model::cloud_to_json(cloud).dump(2)))
     return fail("cannot write " + out);
@@ -118,20 +155,25 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_allocate(const Args& args) {
+  const std::string method = args.get("method", "heuristic");
+  const auto seed = seed_flag(args);
+  const auto threads =
+      int_flag(args, "threads", method == "dist" ? 0 : 1, 0, kMaxThreads);
+  const auto samples = int_flag(args, "mc-samples", 100, 1, kMaxCount);
+  if (!seed || !threads || !samples) return 1;
   auto cloud = load_cloud(args);
   if (!cloud) return 1;
-  const std::string method = args.get("method", "heuristic");
 
   model::Allocation allocation(*cloud);
   if (method == "heuristic") {
     alloc::AllocatorOptions opts;
-    opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    opts.num_threads = static_cast<int>(args.get_int("threads", 1));
+    opts.seed = static_cast<std::uint64_t>(*seed);
+    opts.num_threads = static_cast<int>(*threads);
     allocation = alloc::ResourceAllocator(opts).run(*cloud).allocation;
   } else if (method == "dist") {
     alloc::AllocatorOptions opts;
-    opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    opts.num_threads = static_cast<int>(args.get_int("threads", 0));
+    opts.seed = static_cast<std::uint64_t>(*seed);
+    opts.num_threads = static_cast<int>(*threads);
     allocation =
         dist::DistributedAllocator(dist::DistributedOptions{opts})
             .run(*cloud)
@@ -142,10 +184,9 @@ int cmd_allocate(const Args& args) {
                      .allocation;
   } else if (method == "monte-carlo") {
     baselines::MonteCarloOptions opts;
-    opts.samples = static_cast<int>(args.get_int("mc-samples", 100));
+    opts.samples = static_cast<int>(*samples);
     allocation = baselines::monte_carlo_search(
-                     *cloud, opts,
-                     static_cast<std::uint64_t>(args.get_int("seed", 1)))
+                     *cloud, opts, static_cast<std::uint64_t>(*seed))
                      .best;
   } else {
     return fail("unknown --method (heuristic|dist|ps|monte-carlo)");
@@ -163,6 +204,9 @@ int cmd_allocate(const Args& args) {
 }
 
 int cmd_audit(const Args& args) {
+  // 0 prints every client row.
+  const auto max_clients = int_flag(args, "max-clients", 20, 0, kMaxCount);
+  if (!max_clients) return 1;
   auto cloud = load_cloud(args);
   if (!cloud) return 1;
   auto allocation = load_allocation(args, *cloud);
@@ -174,7 +218,7 @@ int cmd_audit(const Args& args) {
   for (const auto& v : violations) std::cout << "  " << v.describe() << "\n";
 
   model::ReportOptions options;
-  options.max_clients = static_cast<int>(args.get_int("max-clients", 20));
+  options.max_clients = static_cast<int>(*max_clients);
   options.include_servers = args.get_bool("servers", false);
   model::print_report(std::cout, model::evaluate(*allocation),
                       cloud->num_servers(), options);
@@ -182,14 +226,17 @@ int cmd_audit(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
+  const auto horizon = double_flag(args, "horizon", 1000.0, 1.0, 1e9);
+  const auto seed = seed_flag(args);
+  if (!horizon || !seed) return 1;
   auto cloud = load_cloud(args);
   if (!cloud) return 1;
   auto allocation = load_allocation(args, *cloud);
   if (!allocation) return 1;
 
   sim::SimOptions opts;
-  opts.horizon = args.get_double("horizon", 1000.0);
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  opts.horizon = *horizon;
+  opts.seed = static_cast<std::uint64_t>(*seed);
   if (args.get_bool("work-conserving", false))
     opts.mode = sim::GpsMode::kWorkConserving;
   const auto report = sim::simulate_allocation(*allocation, opts);
@@ -207,6 +254,9 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_compare(const Args& args) {
+  const auto samples = int_flag(args, "mc-samples", 50, 1, kMaxCount);
+  const auto sa_steps = int_flag(args, "sa-steps", 200, 0, kMaxCount);
+  if (!samples || !sa_steps) return 1;
   auto cloud = load_cloud(args);
   if (!cloud) return 1;
 
@@ -236,7 +286,7 @@ int cmd_compare(const Args& args) {
   }
   {
     baselines::MonteCarloOptions opts;
-    opts.samples = static_cast<int>(args.get_int("mc-samples", 50));
+    opts.samples = static_cast<int>(*samples);
     const auto t0 = std::chrono::steady_clock::now();
     const auto run = baselines::monte_carlo_search(*cloud, opts, 1);
     add("Monte-Carlo + local search", run.best_profit,
@@ -246,7 +296,7 @@ int cmd_compare(const Args& args) {
   }
   {
     baselines::SaAllocOptions opts;
-    opts.annealing.steps = static_cast<int>(args.get_int("sa-steps", 200));
+    opts.annealing.steps = static_cast<int>(*sa_steps);
     const auto t0 = std::chrono::steady_clock::now();
     const auto run = baselines::sa_allocate(*cloud, opts, 1);
     add("simulated annealing", run.profit,
@@ -259,15 +309,20 @@ int cmd_compare(const Args& args) {
 }
 
 int cmd_epochs(const Args& args) {
+  const auto epochs = int_flag(args, "epochs", 8, 1, 100'000);
+  const auto amplitude = double_flag(args, "amplitude", 0.4, 0.0, 0.99);
+  const auto spikes = double_flag(args, "spikes", 0.02, 0.0, 1.0);
+  const auto seed = seed_flag(args);
+  if (!epochs || !amplitude || !spikes || !seed) return 1;
   auto cloud = load_cloud(args);
   if (!cloud) return 1;
 
   workload::TraceParams trace_params;
-  trace_params.epochs = static_cast<int>(args.get_int("epochs", 8));
-  trace_params.amplitude = args.get_double("amplitude", 0.4);
-  trace_params.spike_probability = args.get_double("spikes", 0.02);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto trace = workload::make_rate_trace(*cloud, trace_params, seed);
+  trace_params.epochs = static_cast<int>(*epochs);
+  trace_params.amplitude = *amplitude;
+  trace_params.spike_probability = *spikes;
+  const auto trace = workload::make_rate_trace(
+      *cloud, trace_params, static_cast<std::uint64_t>(*seed));
 
   std::vector<model::ClientId> everyone;
   for (model::ClientId i : cloud->client_ids()) everyone.push_back(i);

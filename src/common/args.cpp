@@ -1,6 +1,8 @@
 #include "common/args.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <sstream>
 
 namespace cloudalloc {
 
@@ -55,6 +57,51 @@ bool Args::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+namespace {
+
+/// Parses all of `text` as a T; nullopt if anything is left over.
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+template <typename T>
+std::optional<T> read_in(const std::map<std::string, std::string>& values,
+                         const std::string& name, T fallback, T lo, T hi,
+                         const char* kind, std::string* error) {
+  const auto it = values.find(name);
+  if (it == values.end()) return fallback;
+  std::optional<T> value = parse_whole<T>(it->second);
+  if (value && *value >= lo && *value <= hi) return value;  // NaN fails
+  if (error != nullptr) {
+    std::ostringstream out;
+    out << "--" << name << " must be " << kind << " in [" << lo << ", "
+        << hi << "], got '" << it->second << "'";
+    *error = out.str();
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::int64_t> Args::get_int_in(const std::string& name,
+                                             std::int64_t fallback,
+                                             std::int64_t lo, std::int64_t hi,
+                                             std::string* error) const {
+  return read_in(values_, name, fallback, lo, hi, "an integer", error);
+}
+
+std::optional<double> Args::get_double_in(const std::string& name,
+                                          double fallback, double lo,
+                                          double hi,
+                                          std::string* error) const {
+  return read_in(values_, name, fallback, lo, hi, "a number", error);
 }
 
 }  // namespace cloudalloc

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,20 @@ class Args {
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+
+  /// Strict reads for flags that must be validated: the whole value must
+  /// parse (as a base-10 integer, or a number std::from_chars accepts)
+  /// and lie in [lo, hi], which NaN never does. An absent flag yields
+  /// `fallback`. A malformed or out-of-range value yields nullopt and, if
+  /// `error` is set, a message such as
+  /// "--clients must be an integer in [1, 1000000], got '-5'".
+  std::optional<std::int64_t> get_int_in(const std::string& name,
+                                         std::int64_t fallback,
+                                         std::int64_t lo, std::int64_t hi,
+                                         std::string* error = nullptr) const;
+  std::optional<double> get_double_in(const std::string& name,
+                                      double fallback, double lo, double hi,
+                                      std::string* error = nullptr) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -101,5 +101,46 @@ TEST(Args, ParsesDouble) {
   EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 2.5);
 }
 
+TEST(Args, StrictIntReadAcceptsWholeValuesInRange) {
+  const char* argv[] = {"prog", "--clients=50", "--threads=256", "--lo=-3"};
+  Args args(4, argv);
+  EXPECT_EQ(args.get_int_in("clients", 1, 1, 1000), 50);
+  EXPECT_EQ(args.get_int_in("threads", 1, 0, 256), 256);
+  EXPECT_EQ(args.get_int_in("lo", 0, -3, 3), -3);
+  EXPECT_EQ(args.get_int_in("missing", 7, 1, 10), 7);
+}
+
+TEST(Args, StrictIntReadRejectsMalformedAndOutOfRangeValues) {
+  const char* argv[] = {"prog",       "--neg=-5",  "--word=abc",
+                        "--tail=12x", "--empty=",  "--cap=257",
+                        "--huge=99999999999999999999", "--bare"};
+  Args args(8, argv);
+  std::string error;
+  EXPECT_FALSE(args.get_int_in("neg", 100, 1, 1000, &error));
+  EXPECT_EQ(error, "--neg must be an integer in [1, 1000], got '-5'");
+  EXPECT_FALSE(args.get_int_in("word", 1, 1, 1000, &error));
+  EXPECT_EQ(error, "--word must be an integer in [1, 1000], got 'abc'");
+  EXPECT_FALSE(args.get_int_in("tail", 1, 1, 1000));
+  EXPECT_FALSE(args.get_int_in("empty", 1, 1, 1000));
+  EXPECT_FALSE(args.get_int_in("cap", 1, 0, 256));  // a capped thread count
+  EXPECT_FALSE(args.get_int_in("huge", 1, 0, 256));
+  EXPECT_FALSE(args.get_int_in("bare", 1, 0, 256));  // "true"
+}
+
+TEST(Args, StrictDoubleReadRejectsNanAndOutOfRangeValues) {
+  const char* argv[] = {"prog",          "--amplitude=0.5", "--nan=nan",
+                        "--horizon=-5",  "--inf=inf",       "--tail=0.5x"};
+  Args args(6, argv);
+  EXPECT_EQ(args.get_double_in("amplitude", 0.4, 0.0, 0.99), 0.5);
+  EXPECT_EQ(args.get_double_in("missing", 0.4, 0.0, 0.99), 0.4);
+  std::string error;
+  EXPECT_FALSE(args.get_double_in("nan", 0.4, 0.0, 0.99, &error));
+  EXPECT_EQ(error, "--nan must be a number in [0, 0.99], got 'nan'");
+  EXPECT_FALSE(args.get_double_in("horizon", 1000.0, 1.0, 1e9, &error));
+  EXPECT_EQ(error, "--horizon must be a number in [1, 1e+09], got '-5'");
+  EXPECT_FALSE(args.get_double_in("inf", 1000.0, 1.0, 1e9));
+  EXPECT_FALSE(args.get_double_in("tail", 0.4, 0.0, 0.99));
+}
+
 }  // namespace
 }  // namespace cloudalloc
