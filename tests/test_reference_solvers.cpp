@@ -1,7 +1,7 @@
 // Differential testing: the closed-form KKT solvers against slow
 // projected-gradient references on random instances far larger than the
 // grid-search oracles can handle.
-#include "opt/reference_solvers.h"
+#include "reference_solvers.h"
 
 #include <cmath>
 
