@@ -452,8 +452,7 @@ DistributedResult DistributedAllocator::run_message_passing(
 
       const bool stop =
           loop.note_round(loop.state.profit(), aopts, report, round);
-      // Satellite bugfix: DistributedAllocator::run previously ignored
-      // time_budget_ms entirely. Check between rounds, exactly like the
+      // The epoch deadline is checked between rounds, exactly like the
       // sequential allocator checks between passes (allocator.cpp).
       if (loop.over_budget(aopts)) {
         report.truncated = true;
