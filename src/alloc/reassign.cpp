@@ -42,17 +42,35 @@ bool may_insert(const AllocatorOptions& opts, ClientId i) {
   return opts.insertable == nullptr || (*opts.insertable)[i.index()] != 0;
 }
 
+/// Every client, worst-served first (unassigned clients sort to the
+/// front: R = +inf). Each response time is computed once before the
+/// sort, not twice per comparison: Allocation::response_time builds a
+/// slice vector on every call.
+std::vector<ClientId> worst_served_first(const Allocation& ledger,
+                                         bool stable) {
+  const auto& cloud = ledger.cloud();
+  std::vector<ClientId> order;
+  order.reserve(static_cast<std::size_t>(cloud.num_clients()));
+  std::vector<double> r(static_cast<std::size_t>(cloud.num_clients()));
+  for (ClientId i : cloud.client_ids()) {
+    order.push_back(i);
+    r[i.index()] = ledger.response_time(i);
+  }
+  const auto worse = [&](ClientId a, ClientId b) {
+    return r[a.index()] > r[b.index()];
+  };
+  if (stable)
+    std::stable_sort(order.begin(), order.end(), worse);
+  else
+    std::sort(order.begin(), order.end(), worse);
+  return order;
+}
+
 }  // namespace
 
 double reassign_pass(AllocState& state, const AllocatorOptions& opts) {
-  const auto& cloud = state.cloud();
-  std::vector<ClientId> order;
-  order.reserve(static_cast<std::size_t>(cloud.num_clients()));
-  for (ClientId i : cloud.client_ids()) order.push_back(i);
-  // Worst-served first (unassigned clients sort to the front: R = +inf).
-  std::sort(order.begin(), order.end(), [&](ClientId a, ClientId b) {
-    return state.ledger().response_time(a) > state.ledger().response_time(b);
-  });
+  const std::vector<ClientId> order =
+      worst_served_first(state.ledger(), /*stable=*/false);
 
   // Settle once; from here profit is tracked through commits and moves are
   // pre-screened on the engine's delta-priced view, so clients whose probe
@@ -78,15 +96,10 @@ double reassign_pass_snapshot(AllocState& state, const AllocatorOptions& opts,
   const int n = cloud.num_clients();
   if (n == 0) return 0.0;
   const Allocation& ledger = state.ledger();
-  std::vector<ClientId> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (ClientId i : cloud.client_ids()) order.push_back(i);
-  // Worst-served first (unassigned clients sort to the front: R = +inf);
-  // stable so equal response times keep client-id order at any thread
+  // Stable, so equal response times keep client-id order at any thread
   // count and across standard libraries.
-  std::stable_sort(order.begin(), order.end(), [&](ClientId a, ClientId b) {
-    return ledger.response_time(a) > ledger.response_time(b);
-  });
+  const std::vector<ClientId> order =
+      worst_served_first(ledger, /*stable=*/true);
 
   // Phase 1: price every client's best move against a frozen SoA snapshot
   // of the settled engine state. Each chunk leases a pooled scratch view —

@@ -67,7 +67,8 @@ double server_value(const Allocation& alloc, ServerId j) {
 /// threshold (these are the ones a new server could help).
 std::vector<ClientId> degraded_clients(const Allocation& alloc, ClusterId k) {
   const Cloud& cloud = alloc.cloud();
-  std::vector<ClientId> out;
+  // (response time, client): the sort key is computed once per client.
+  std::vector<std::pair<double, ClientId>> ranked;
   // clients_in() is ascending by id: that fixes the input order of the
   // (unstable) sort below, and with it the bidders' order among ties.
   for (ClientId i : alloc.clients_in(k)) {
@@ -76,12 +77,14 @@ std::vector<ClientId> degraded_clients(const Allocation& alloc, ClusterId k) {
     if (max_u <= 0.0) continue;
     const double r = alloc.response_time(i);
     const double u = std::isfinite(r) ? fn.value(r) : 0.0;
-    if (u < kDegradedUtilityFraction * max_u) out.push_back(i);
+    if (u < kDegradedUtilityFraction * max_u) ranked.emplace_back(r, i);
   }
   // Worst-served first: they have the most to gain.
-  std::sort(out.begin(), out.end(), [&](ClientId a, ClientId b) {
-    return alloc.response_time(a) > alloc.response_time(b);
-  });
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<ClientId> out;
+  out.reserve(ranked.size());
+  for (const auto& entry : ranked) out.push_back(entry.second);
   return out;
 }
 
