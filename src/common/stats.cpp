@@ -40,4 +40,32 @@ double quantile(std::vector<double> xs, double p) {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
+std::vector<double> quantiles(std::vector<double>& xs,
+                              const std::vector<double>& ps) {
+  CHECK(!xs.empty());
+  std::vector<double> out;
+  out.reserve(ps.size());
+  // nth_element at lo leaves no smaller element after xs[lo], so the
+  // next order statistic, which is no smaller, lies in xs[lo, end).
+  std::size_t from = 0;
+  double prev = 0.0;
+  for (double p : ps) {
+    CHECK(p >= prev && p <= 1.0);
+    prev = p;
+    const double pos = p * static_cast<double>(xs.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    std::nth_element(xs.begin() + static_cast<std::ptrdiff_t>(from),
+                     xs.begin() + static_cast<std::ptrdiff_t>(lo), xs.end());
+    from = lo;
+    const double x_hi =
+        hi == lo ? xs[lo]
+                 : *std::min_element(
+                       xs.begin() + static_cast<std::ptrdiff_t>(hi), xs.end());
+    out.push_back(xs[lo] * (1.0 - frac) + x_hi * frac);
+  }
+  return out;
+}
+
 }  // namespace cloudalloc

@@ -48,4 +48,11 @@ double mean_of(const std::vector<double>& xs);
 /// p-quantile (0 <= p <= 1) by linear interpolation on a sorted copy.
 double quantile(std::vector<double> xs, double p);
 
+/// quantile(xs, p) for each p of `ps` (ascending), bit for bit, by
+/// selection instead of a full sort: each order statistic is found with
+/// nth_element from the previous one. Reorders `xs`, which must hold no
+/// NaN.
+std::vector<double> quantiles(std::vector<double>& xs,
+                              const std::vector<double>& ps);
+
 }  // namespace cloudalloc

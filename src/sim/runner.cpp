@@ -231,9 +231,10 @@ SimulationReport simulate_allocation(const Allocation& alloc,
     stats.analytic_response = alloc.response_time(i);
     auto& my_samples = samples[i.index()];
     if (tails && !my_samples.empty()) {
-      stats.p50 = quantile(my_samples, 0.50);
-      stats.p95 = quantile(my_samples, 0.95);
-      stats.p99 = quantile(my_samples, 0.99);
+      const std::vector<double> q = quantiles(my_samples, {0.50, 0.95, 0.99});
+      stats.p50 = q[0];
+      stats.p95 = q[1];
+      stats.p99 = q[2];
     }
     report.total_completed += stats.completed;
     if (stats.completed > 0 && std::isfinite(stats.analytic_response) &&

@@ -1,6 +1,14 @@
 #include "common/stats.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace cloudalloc {
 namespace {
@@ -82,6 +90,54 @@ TEST(Quantile, Extremes) {
 
 TEST(Quantile, Interpolates) {
   EXPECT_DOUBLE_EQ(quantile({0.0, 10.0}, 0.25), 2.5);
+}
+
+// quantiles() must return quantile()'s bits for every p and leave a
+// permutation of its input behind.
+void expect_quantiles_match(const std::vector<double>& xs,
+                            const std::vector<double>& ps) {
+  std::vector<double> work = xs;
+  const std::vector<double> got = quantiles(work, ps);
+  ASSERT_EQ(got.size(), ps.size());
+  for (std::size_t k = 0; k < ps.size(); ++k)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+              std::bit_cast<std::uint64_t>(quantile(xs, ps[k])))
+        << "n = " << xs.size() << ", p = " << ps[k];
+  std::vector<double> sorted = xs;
+  std::sort(sorted.begin(), sorted.end());
+  std::sort(work.begin(), work.end());
+  EXPECT_EQ(work, sorted);
+}
+
+TEST(Quantile, QuantilesMatchOnOneAndTwoSamples) {
+  const std::vector<double> ps{0.0, 0.25, 0.5, 0.95, 0.99, 1.0};
+  expect_quantiles_match({7.5}, ps);
+  expect_quantiles_match({3.0, 1.0}, ps);
+  expect_quantiles_match({2.0, 2.0}, ps);
+}
+
+TEST(Quantile, QuantilesMatchOnTiesAndRepeatedPs) {
+  expect_quantiles_match({1.0, 3.0, 3.0, 3.0, 0.5, 3.0, 1.0},
+                         {0.0, 0.5, 0.5, 0.99, 1.0, 1.0});
+  expect_quantiles_match({4.0, 4.0, 4.0}, {0.0, 0.3, 1.0});
+}
+
+TEST(Quantile, QuantilesMatchOnRandomSamples) {
+  Rng rng(17);
+  for (int trial = 0; trial < 500; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+    std::vector<double> xs(n);
+    // A third of the draws are small integers, so ties are common.
+    for (double& x : xs)
+      x = rng.bernoulli(0.3) ? std::floor(rng.uniform(0.0, 4.0))
+                             : rng.exponential(1.0);
+    std::vector<double> ps{rng.uniform(), rng.uniform(), rng.uniform(), 0.50,
+                           0.95, 0.99};
+    if (rng.bernoulli(0.2)) ps.push_back(0.0);
+    if (rng.bernoulli(0.2)) ps.push_back(1.0);
+    std::sort(ps.begin(), ps.end());
+    expect_quantiles_match(xs, ps);
+  }
 }
 
 }  // namespace
