@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
                        Table::num(s.redirected, 2)});
     JsonObject row{{"threshold", Json(threshold)}};
     row.emplace("run", to_json(s));
-    admission_rows.push_back(Json(std::move(row)));
+    admission_rows.emplace_back(std::move(row));
   }
   std::cout << "\n";
   admission.print(std::cout);
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
                        Table::num(s.mean_epoch_ms, 2)});
     JsonObject row{{"migration_cost", Json(cost)}};
     row.emplace("run", to_json(s));
-    migration_rows.push_back(Json(std::move(row)));
+    migration_rows.emplace_back(std::move(row));
   }
   std::cout << "\n";
   migration.print(std::cout);

@@ -412,7 +412,9 @@ class Parser {
       }
       if (text_[pos_] == '}') {
         ++pos_;
-        return Json(std::move(out));
+        // Built in place: a Json temporary moved into the optional trips
+        // GCC 12's -Wmaybe-uninitialized in the inlined variant destructor.
+        return std::optional<Json>(std::in_place, std::move(out));
       }
       fail("expected ',' or '}'");
       return std::nullopt;

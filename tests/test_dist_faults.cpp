@@ -221,10 +221,13 @@ TEST(DistributedFaults, DeadlineHoldsUnderFaults) {
 TEST(FaultyTransport, ScheduleIsAPureFunctionOfThePlan) {
   const auto run_once = [](const FaultPlan& plan) {
     FaultyTransport transport(std::make_unique<ChannelTransport>(2), plan);
+    // Appended, not "a" + ...: GCC 12 warns -Wrestrict on that.
     for (int m = 0; m < 40; ++m)
-      (void)transport.send_to_agent(0, "a" + std::to_string(m));
+      (void)transport.send_to_agent(0,
+                                    std::string("a").append(std::to_string(m)));
     for (int m = 0; m < 40; ++m)
-      (void)transport.send_to_manager(1, "m" + std::to_string(m));
+      (void)transport.send_to_manager(
+          1, std::string("m").append(std::to_string(m)));
     transport.close_all();
     std::vector<std::string> delivered;
     while (auto bytes = transport.agent_receive(0))

@@ -79,8 +79,10 @@ TEST(JsonFuzz, GeneratedDocumentsAlwaysRoundTrip) {
       default: {
         JsonObject obj;
         const int len = static_cast<int>(rng.uniform_int(0, 5));
+        // Appended, not "k" + ...: GCC 12 warns -Wrestrict on that.
         for (int i = 0; i < len; ++i)
-          obj.emplace("k" + std::to_string(i), gen(depth - 1));
+          obj.emplace(std::string("k").append(std::to_string(i)),
+                      gen(depth - 1));
         return Json(std::move(obj));
       }
     }

@@ -169,7 +169,9 @@ TEST(OnlineServe, ChurnRunStaysFeasibleAndMasksStayConsistent) {
     ASSERT_TRUE(model::is_feasible(server.allocation()));
     EXPECT_GE(stats.present, stats.serving);  // serving is a subset
     for (ClientId i : server.cloud().client_ids()) {
-      if (server.is_serving(i)) EXPECT_TRUE(server.is_present(i));
+      if (server.is_serving(i)) {
+        EXPECT_TRUE(server.is_present(i));
+      }
       EXPECT_EQ(server.is_serving(i), server.allocation().is_assigned(i));
     }
     // Every arrival got an admission decision (re-offered rate changes
