@@ -1,7 +1,8 @@
 // Added table E7 (google-benchmark): throughput of the numerical kernels
 // the heuristic leans on — the KKT share water-filling (eq. 18), the
-// convex dispersion solver, the quantized-split DP, and one full
-// Assign_Distribute evaluation.
+// convex dispersion solver, the quantized-split DP, one full
+// Assign_Distribute evaluation, and one client's best insertion over a
+// cluster window.
 #include <benchmark/benchmark.h>
 
 #include "alloc/allocator.h"
@@ -118,6 +119,28 @@ void BM_AssignDistribute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AssignDistribute);
+
+/// One client's 4-cluster window (AllocatorOptions::cluster_fanout, as the
+/// scale benchmarks set it) on a half-loaded cloud of 100-server clusters
+/// shaped like the large-population solves' (workload::scaled_params).
+void BM_BestInsertion(benchmark::State& state) {
+  const auto cloud = workload::make_scenario(workload::scaled_params(2000), 8);
+  alloc::AllocatorOptions opts;
+  opts.cluster_fanout = 4;
+  model::Allocation alloc_state(cloud);
+  for (int ci = 0; ci < cloud.num_clients() / 2; ++ci) {
+    const model::ClientId i{ci};
+    auto plan = alloc::best_insertion(alloc_state.residual(), i, opts);
+    if (plan) alloc_state.assign(i, plan->cluster, std::move(plan->placements));
+  }
+  const model::ClientId probe{cloud.num_clients() / 2 + 1};
+  for (auto _ : state) {
+    auto plan = alloc::best_insertion(alloc_state.residual(), probe, opts);
+    benchmark::DoNotOptimize(plan);
+  }
+  state.counters["clusters"] = static_cast<double>(cloud.num_clusters());
+}
+BENCHMARK(BM_BestInsertion);
 
 /// Shared fixture for the move-pricing pair: a half-loaded cloud, one
 /// placed client, and a re-placement plan for it in another cluster. Both

@@ -4,10 +4,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "alloc/share_policy.h"
 #include "common/check.h"
-#include "common/mathutil.h"
 #include "model/residual.h"
 #include "opt/dp.h"
 #include "queueing/batch.h"
@@ -23,7 +24,6 @@ using model::ClusterId;
 using model::Placement;
 using model::ResidualView;
 using model::ServerClass;
-using model::ServerId;
 using units::ArrivalRate;
 using units::Share;
 using units::Time;
@@ -36,23 +36,10 @@ struct SliceShares {
   double phi_n = 0.0;
 };
 
-/// The client-side constants of one Assign_Distribute(i, k) probe.
-struct Probe {
-  const Cloud& cloud;
-  const Client& c;
-  double slope;  ///< linearized utility slope
-  Time zc;       ///< utility zero-crossing
-  ShareSizing sizing;
-  const AllocatorOptions& opts;
-  int G;
-};
-
-/// What a probe's slices need on one server class: the stability floor of
-/// a one-quantum slice and the share demand at g = G, per resource.
+/// Client i's share demand at g = G on one server class, per resource.
 struct ClassNeeds {
-  double floor1_p = 0.0;
-  double floor1_n = 0.0;
-  Share need_p, need_n;
+  double need_p = 0.0;
+  double need_n = 0.0;
 };
 
 /// A score row's exact key: class and activity, plus each free share's
@@ -61,155 +48,207 @@ struct ClassNeeds {
 using RowKey = std::array<std::uint64_t, 3>;
 
 /// Flat open-addressing map from row key to the table row scored for that
-/// key. Reset per score_rows call; the table only grows, so steady-state
-/// probes allocate nothing.
+/// key. reset() starts a new generation instead of clearing the slots, and
+/// the table doubles, rehashing the live generation, before its load
+/// passes one half. So a reset costs nothing, any number of keys fit, and
+/// steady-state probes allocate nothing.
 class RowMemo {
  public:
-  void reset(std::size_t rows) {
-    const std::size_t size = std::bit_ceil(2 * rows + 1);  // load <= 1/2
-    slots_.assign(size, Slot{});
-    mask_ = size - 1;
+  void reset() {
+    count_ = 0;
+    if (++gen_ != 0) return;
+    // The stamp wrapped: age every slot out by hand once.
+    for (Slot& slot : slots_) slot.gen = 0;
+    gen_ = 1;
   }
   /// The row stored under `key`; -1 if none, in which case the caller
   /// stores its row index through the returned reference.
   int& find(const RowKey& key) {
-    std::uint64_t h = key[0] * 0x9E3779B97F4A7C15ull;
-    h = (h ^ key[1]) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ key[2]) * 0x94D049BB133111EBull;
-    std::size_t at = static_cast<std::size_t>(h ^ (h >> 31)) & mask_;
-    while (slots_[at].row >= 0 && slots_[at].key != key) at = (at + 1) & mask_;
-    slots_[at].key = key;
-    return slots_[at].row;
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    Slot& slot = slot_of(key);
+    if (slot.gen != gen_) {
+      slot = Slot{key, -1, gen_};
+      ++count_;
+    }
+    return slot.row;
   }
 
  private:
   struct Slot {
     RowKey key{};
     int row = -1;
+    std::uint32_t gen = 0;  ///< live when equal to gen_
   };
+  static constexpr std::size_t kInitialSlots = 128;
+
+  /// The live slot holding `key`, or the free slot where it belongs.
+  Slot& slot_of(const RowKey& key) {
+    std::uint64_t h = key[0] * 0x9E3779B97F4A7C15ull;
+    h = (h ^ key[1]) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ key[2]) * 0x94D049BB133111EBull;
+    std::size_t at = static_cast<std::size_t>(h ^ (h >> 31)) & mask_;
+    while (slots_[at].gen == gen_ && slots_[at].key != key)
+      at = (at + 1) & mask_;
+    return slots_[at];
+  }
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max(kInitialSlots, 2 * old.size()), Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old)
+      if (slot.gen == gen_) slot_of(slot.key) = slot;
+  }
+
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
+  std::size_t count_ = 0;  ///< live slots
+  std::uint32_t gen_ = 1;
 };
 
-/// Per-thread scratch: the batched scoring passes' per-quantum buffers
-/// (index g, entry 0 unused, reused across candidate servers), the per-
-/// class needs of the current probe, the row memo, and the probe's rows
-/// (see score_rows).
-struct Scratch {
-  std::vector<ArrivalRate> arr, mu_p, mu_n;
-  std::vector<Share> phi_p, phi_n;
-  std::vector<Time> delay;
-  RowMemo memo;
-  opt::DpTable scores;
-  std::vector<SliceShares> shares;  ///< row r, cell g at r * (G + 1) + g
-  std::vector<int> row_of;          ///< each candidate's table row
-  std::vector<ClassNeeds> needs;
-  std::vector<std::uint8_t> needs_ready;
-  void resize(std::size_t width) {
-    arr.resize(width);
-    phi_p.resize(width);
-    phi_n.resize(width);
-    mu_p.resize(width);
-    mu_n.resize(width);
-    delay.resize(width);
-  }
-  void reset_needs(std::size_t num_classes) {
-    needs.resize(num_classes);
-    needs_ready.assign(num_classes, 0);
-  }
-  /// Server j's class needs, computed once per probe and class.
-  const ClassNeeds& needs_of(const Probe& p, ServerId j) {
-    const std::size_t cls = p.cloud.server(j).server_class.index();
-    ClassNeeds& n = needs[cls];
-    if (needs_ready[cls] != 0) return n;
-    needs_ready[cls] = 1;
-    const ServerClass& sc = p.cloud.server_classes()[cls];
-    const ArrivalRate lambda{p.c.lambda_pred};
-    const ArrivalRate headroom{p.opts.stability_headroom};
-    n.floor1_p = one_quantum_floor(lambda, p.G, WorkRate{sc.cap_p},
-                                   Work{p.c.alpha_p}, p.opts);
-    n.floor1_n = one_quantum_floor(lambda, p.G, WorkRate{sc.cap_n},
-                                   Work{p.c.alpha_n}, p.opts);
-    n.need_p = std::max(
-        queueing::gps_min_share(lambda, WorkRate{sc.cap_p}, Work{p.c.alpha_p},
-                                headroom),
-        preferred_share(lambda, 1.0, WorkRate{sc.cap_p}, Work{p.c.alpha_p},
-                        p.zc, p.sizing.slack_work_p));
-    n.need_n = std::max(
-        queueing::gps_min_share(lambda, WorkRate{sc.cap_n}, Work{p.c.alpha_n},
-                                headroom),
-        preferred_share(lambda, 1.0, WorkRate{sc.cap_n}, Work{p.c.alpha_n},
-                        p.zc, p.sizing.slack_work_n));
-    return n;
-  }
+/// Assign_Distribute's per-client context. begin() computes, once per
+/// client, everything a probe reads that does not depend on the cluster:
+/// the linearization anchors, the share-sizing policy, and each server
+/// class's one-quantum floors and g = G demands. probe() then runs
+/// Assign_Distribute(i, k) for one cluster, and may run for any number of
+/// clusters. A score row is a pure function of its key and the client, so
+/// the row store — memo, score table and slice shares — also lives from
+/// begin() to the next begin(), and a row scored on one cluster serves
+/// every later candidate with the same key, on any cluster of the window.
+class ClientContext {
+ public:
+  void begin(const Cloud& cloud, ClientId i, const AllocatorOptions& opts);
+  std::optional<InsertionPlan> probe(const ResidualView& view, ClusterId k,
+                                     const InsertionConstraints& constraints,
+                                     InsertionStats* stats);
+
+ private:
+  void score_rows(std::size_t n);
+  InsertionPlan build_plan(ClusterId k, std::size_t n,
+                           const opt::DpResult& dp) const;
+
+  // Probe constants, set by begin().
+  const Cloud* cloud_ = nullptr;
+  const Client* c_ = nullptr;
+  ClientId i_;
+  const AllocatorOptions* opts_ = nullptr;
+  int G_ = 0;
+  double slope_ = 0.0;  ///< linearized utility slope
+  Time zc_;             ///< utility zero-crossing
+  ShareSizing sizing_;
+  std::vector<ResidualView::Floors> floors_;  ///< per server class
+  std::vector<ClassNeeds> needs_;             ///< per server class
+  // Row store: each distinct row once, kept across the client's probes.
+  RowMemo memo_;
+  opt::DpTable scores_;
+  std::vector<SliceShares> shares_;  ///< row r, cell g at r * (G + 1) + g
+  // One probe's candidates (the first n entries) and their table rows.
+  std::vector<ResidualView::Candidate> cands_;
+  std::vector<int> row_of_;
+  // The batched scoring passes' per-quantum buffers (index g, entry 0
+  // unused, reused across rows).
+  std::vector<ArrivalRate> arr_, mu_p_, mu_n_;
+  std::vector<Share> phi_p_, phi_n_;
+  std::vector<Time> delay_;
 };
 
-/// The one-quantum screen: server j can host a slice of the client only if
-/// a one-quantum slice's stability floor (eq. 7) fits its free share on
-/// both resources. This is size_share_grid's own g = 1 test, so a server
-/// that fails it has a score row infeasible past g = 0 — a row
-/// dp_distribute passes through unchanged and build_plan skips — and
-/// dropping it cannot change the plan.
-bool fits_one_quantum(const ResidualView& view, ServerId j, const Probe& p,
-                      Scratch& scratch) {
-  const ClassNeeds& n = scratch.needs_of(p, j);
-  return floor_fits(n.floor1_p, view.free_phi_p(j)) &&
-         floor_fits(n.floor1_n, view.free_phi_n(j));
+void ClientContext::begin(const Cloud& cloud, ClientId i,
+                          const AllocatorOptions& opts) {
+  CHECK(opts.psi_grid >= 1);
+  const Client& c = cloud.client(i);
+  const auto& fn = cloud.utility_of(i);
+  cloud_ = &cloud;
+  c_ = &c;
+  i_ = i;
+  opts_ = &opts;
+  G_ = opts.psi_grid;
+  // Linearization anchors: price level, slope, and the share-sizing policy
+  // (delay target vs cloud-wide capacity tightness).
+  slope_ = fn.slope(0.0);
+  zc_ = Time{fn.zero_crossing()};
+  sizing_ = ShareSizing::from(cloud);
+
+  const ArrivalRate lambda{c.lambda_pred};
+  const ArrivalRate headroom{opts.stability_headroom};
+  const std::size_t num_classes = cloud.server_classes().size();
+  floors_.resize(num_classes);
+  needs_.resize(num_classes);
+  for (std::size_t cls = 0; cls < num_classes; ++cls) {
+    const ServerClass& sc = cloud.server_classes()[cls];
+    floors_[cls].p = one_quantum_floor(lambda, G_, WorkRate{sc.cap_p},
+                                       Work{c.alpha_p}, opts);
+    floors_[cls].n = one_quantum_floor(lambda, G_, WorkRate{sc.cap_n},
+                                       Work{c.alpha_n}, opts);
+    needs_[cls].need_p =
+        std::max(queueing::gps_min_share(lambda, WorkRate{sc.cap_p},
+                                         Work{c.alpha_p}, headroom),
+                 preferred_share(lambda, 1.0, WorkRate{sc.cap_p},
+                                 Work{c.alpha_p}, zc_, sizing_.slack_work_p))
+            .value();
+    needs_[cls].need_n =
+        std::max(queueing::gps_min_share(lambda, WorkRate{sc.cap_n},
+                                         Work{c.alpha_n}, headroom),
+                 preferred_share(lambda, 1.0, WorkRate{sc.cap_n},
+                                 Work{c.alpha_n}, zc_, sizing_.slack_work_n))
+            .value();
+  }
+
+  memo_.reset();
+  scores_.reset(G_);
+  const std::size_t width = static_cast<std::size_t>(G_) + 1;
+  arr_.resize(width);
+  phi_p_.resize(width);
+  phi_n_.resize(width);
+  mu_p_.resize(width);
+  mu_n_.resize(width);
+  delay_.resize(width);
 }
 
-/// Scores the rows of `cands` into scratch.scores (and their slice shares
-/// into scratch.shares), each distinct row once, and records each
-/// candidate's row in scratch.row_of. Three passes per row: size the
-/// shares (stopping at the first infeasible g — larger g only needs more
+/// Scores the rows of the first n candidates into scores_ (and their slice
+/// shares into shares_), each distinct row once per client, and records
+/// each candidate's row in row_of_. Three passes per row: size the shares
+/// (stopping at the first infeasible g — larger g only needs more
 /// capacity), then the batched service-rate and two-stage delay kernels
 /// over the feasible prefix, then the score combination. The arithmetic is
 /// operation-for-operation the scalar gps_service_rate / mm1_response_time
 /// form, so batching never changes a score bit.
-void score_rows(const ResidualView& view, const Probe& p,
-                const std::vector<ServerId>& cands, Scratch& scratch) {
-  const Client& c = p.c;
-  const int G = p.G;
+void ClientContext::score_rows(std::size_t n) {
+  const Client& c = *c_;
+  const int G = G_;
   const std::size_t width = static_cast<std::size_t>(G) + 1;
-  scratch.resize(width);
-  scratch.memo.reset(cands.size());
-  scratch.scores.reset(G);
-  scratch.row_of.resize(cands.size());
+  row_of_.resize(n);
 
-  for (std::size_t idx = 0; idx < cands.size(); ++idx) {
-    const ServerId j = cands[idx];
-    const ServerClass& sc = p.cloud.server_class_of(j);
-    const double free_p = view.free_phi_p(j);
-    const double free_n = view.free_phi_n(j);
-    const bool was_active = view.active(j);
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    const ResidualView::Candidate& cand = cands_[idx];
+    const std::size_t cls = cand.server_class.index();
+    const ServerClass& sc = cloud_->server_classes()[cls];
+    const double free_p = cand.free_p;
+    const double free_n = cand.free_n;
 
     // Row reuse: a row reads its server only through the class, the
     // activity and the two free shares. Both the stability floor and the
     // preferred size grow with g, so when a resource's g = G demand fits
     // its free share, no share of that resource on the row touches the
     // clamp and the free share drops out. Keyed that way, equal keys
-    // score bitwise-equal rows, so candidates with equal keys share one.
-    const ClassNeeds& needs = scratch.needs_of(p, j);
-    const bool unclamped_p = needs.need_p.value() <= free_p;
-    const bool unclamped_n = needs.need_n.value() <= free_n;
-    const auto cls =
-        static_cast<std::uint64_t>(p.cloud.server(j).server_class.index());
+    // score bitwise-equal rows for the same client, so candidates with
+    // equal keys share one, whichever cluster scored it.
+    const bool unclamped_p = needs_[cls].need_p <= free_p;
+    const bool unclamped_n = needs_[cls].need_n <= free_n;
     const RowKey key{
-        (cls << 3) | (was_active ? 4u : 0u) | (unclamped_p ? 2u : 0u) |
-            (unclamped_n ? 1u : 0u),
+        (static_cast<std::uint64_t>(cls) << 3) | (cand.active ? 4u : 0u) |
+            (unclamped_p ? 2u : 0u) | (unclamped_n ? 1u : 0u),
         unclamped_p ? 0 : std::bit_cast<std::uint64_t>(free_p),
         unclamped_n ? 0 : std::bit_cast<std::uint64_t>(free_n)};
-    int& memo = scratch.memo.find(key);
+    int& memo = memo_.find(key);
     if (memo >= 0) {
-      scratch.row_of[idx] = memo;
+      row_of_[idx] = memo;
       continue;
     }
-    const int r = scratch.scores.add_row();
+    const int r = scores_.add_row();
     memo = r;
-    scratch.row_of[idx] = r;
+    row_of_[idx] = r;
     const std::size_t base = static_cast<std::size_t>(r) * width;
-    if (scratch.shares.size() < base + width)
-      scratch.shares.resize(base + width);
-    SliceShares* const shares = scratch.shares.data() + base;
+    if (shares_.size() < base + width) shares_.resize(base + width);
+    SliceShares* const shares = shares_.data() + base;
 
     // Batched share sizing over the whole psi grid (SIMD lanes; bitwise
     // the historical per-g size_share loop — see size_share_grid). The
@@ -218,56 +257,52 @@ void score_rows(const ResidualView& view, const Probe& p,
     // since every candidate passed the one-quantum screen.
     const int gmax = std::min(
         size_share_grid(ArrivalRate{c.lambda_pred}, G, WorkRate{sc.cap_p},
-                        Work{c.alpha_p}, p.zc, p.sizing.slack_work_p, p.opts,
-                        free_p, scratch.arr.data(), scratch.phi_p.data()),
+                        Work{c.alpha_p}, zc_, sizing_.slack_work_p, *opts_,
+                        free_p, arr_.data(), phi_p_.data()),
         size_share_grid(ArrivalRate{c.lambda_pred}, G, WorkRate{sc.cap_n},
-                        Work{c.alpha_n}, p.zc, p.sizing.slack_work_n, p.opts,
-                        free_n, scratch.arr.data(), scratch.phi_n.data()));
+                        Work{c.alpha_n}, zc_, sizing_.slack_work_n, *opts_,
+                        free_n, arr_.data(), phi_n_.data()));
 
-    const auto n = static_cast<std::size_t>(gmax);
-    queueing::gps_service_rates(scratch.phi_p.data() + 1, WorkRate{sc.cap_p},
-                                Work{c.alpha_p}, scratch.mu_p.data() + 1, n);
-    queueing::gps_service_rates(scratch.phi_n.data() + 1, WorkRate{sc.cap_n},
-                                Work{c.alpha_n}, scratch.mu_n.data() + 1, n);
-    queueing::two_stage_delays(scratch.arr.data() + 1, scratch.mu_p.data() + 1,
-                               scratch.mu_n.data() + 1,
-                               scratch.delay.data() + 1, n);
+    const auto cells = static_cast<std::size_t>(gmax);
+    queueing::gps_service_rates(phi_p_.data() + 1, WorkRate{sc.cap_p},
+                                Work{c.alpha_p}, mu_p_.data() + 1, cells);
+    queueing::gps_service_rates(phi_n_.data() + 1, WorkRate{sc.cap_n},
+                                Work{c.alpha_n}, mu_n_.data() + 1, cells);
+    queueing::two_stage_delays(arr_.data() + 1, mu_p_.data() + 1,
+                               mu_n_.data() + 1, delay_.data() + 1, cells);
 
     for (int g = 1; g <= gmax; ++g) {
       const std::size_t gg = static_cast<std::size_t>(g);
       const double psi = static_cast<double>(g) / static_cast<double>(G);
-      double score =
-          -c.lambda_agreed * p.slope * psi * scratch.delay[gg].value();
+      double score = -c.lambda_agreed * slope_ * psi * delay_[gg].value();
       score -= sc.cost_per_util * psi * c.lambda_pred * c.alpha_p / sc.cap_p;
-      if (!was_active) score -= sc.cost_fixed;
-      shares[gg] = SliceShares{scratch.phi_p[gg].value(),
-                               scratch.phi_n[gg].value()};
-      scratch.scores.set(r, g, score);
+      if (!cand.active) score -= sc.cost_fixed;
+      shares[gg] = SliceShares{phi_p_[gg].value(), phi_n_[gg].value()};
+      scores_.set(r, g, score);
     }
   }
 }
 
-InsertionPlan build_plan(const Client& c, const Cloud& cloud, ClientId i,
-                         ClusterId k, int G,
-                         const std::vector<ServerId>& cands,
-                         const Scratch& scratch, const opt::DpResult& dp) {
+InsertionPlan ClientContext::build_plan(ClusterId k, std::size_t n,
+                                        const opt::DpResult& dp) const {
+  const Client& c = *c_;
   InsertionPlan plan;
   plan.cluster = k;
   // Constant part of the linearized revenue (psi sums to one).
-  plan.score = c.lambda_agreed * cloud.utility_of(i).max_value() + dp.score;
+  plan.score = c.lambda_agreed * cloud_->utility_of(i_).max_value() + dp.score;
   std::size_t used = 0;
   for (int g : dp.quanta) used += g > 0 ? 1 : 0;
   plan.placements.reserve(used);
-  const std::size_t width = static_cast<std::size_t>(G) + 1;
-  for (std::size_t idx = 0; idx < cands.size(); ++idx) {
+  const std::size_t width = static_cast<std::size_t>(G_) + 1;
+  for (std::size_t idx = 0; idx < n; ++idx) {
     const int g = dp.quanta[idx];
     if (g == 0) continue;
     const SliceShares& shares =
-        scratch.shares[static_cast<std::size_t>(scratch.row_of[idx]) * width +
-                       static_cast<std::size_t>(g)];
+        shares_[static_cast<std::size_t>(row_of_[idx]) * width +
+                static_cast<std::size_t>(g)];
     Placement p;
-    p.server = cands[idx];
-    p.psi = static_cast<double>(g) / static_cast<double>(G);
+    p.server = cands_[idx].server;
+    p.psi = static_cast<double>(g) / static_cast<double>(G_);
     p.phi_p = shares.phi_p;
     p.phi_n = shares.phi_n;
     plan.placements.push_back(p);
@@ -276,63 +311,56 @@ InsertionPlan build_plan(const Client& c, const Cloud& cloud, ClientId i,
   return plan;
 }
 
+std::optional<InsertionPlan> ClientContext::probe(
+    const ResidualView& view, ClusterId k,
+    const InsertionConstraints& constraints, InsertionStats* stats) {
+  // The candidates, in cluster order — the row order of the DP. The
+  // screen's one-quantum test is size_share_grid's own g = 1 test
+  // (one_quantum_floor, floor_fits), so a server it drops has a score row
+  // infeasible past g = 0 — a row dp_distribute passes through unchanged
+  // and build_plan skips — and dropping it cannot change the plan.
+  const ResidualView::Screen screen{c_->disk, constraints.exclude,
+                                    constraints.allow_inactive,
+                                    floors_.data()};
+  const std::size_t n = view.screen(k, screen, cands_);
+  if (n == 0) return std::nullopt;
+  if (stats != nullptr) ++stats->full_solves;
+  score_rows(n);
+  const auto dp = opt::dp_distribute(scores_, row_of_);
+  if (!dp) return std::nullopt;
+  return build_plan(k, n, *dp);
+}
+
+/// The one context per thread behind both entry points. The allocator
+/// probes tens of thousands of insertions per run, and its buffers only
+/// grow, so steady-state probes allocate only their plan. Each call
+/// begin()s it first, so reuse is invisible to results.
+ClientContext& thread_context() {
+  thread_local ClientContext context;
+  return context;
+}
+
 }  // namespace
 
 std::optional<InsertionPlan> assign_distribute(
     const ResidualView& view, ClientId i, ClusterId k,
     const AllocatorOptions& opts, const InsertionConstraints& constraints,
     InsertionStats* stats) {
-  const Cloud& cloud = view.cloud();
-  const Client& c = cloud.client(i);
-  const auto& fn = cloud.utility_of(i);
-  const int G = opts.psi_grid;
-  CHECK(G >= 1);
-
-  // Linearization anchors: price level, slope, and the share-sizing policy
-  // (delay target vs cloud-wide capacity tightness).
-  const Probe p{cloud, c, fn.slope(0.0), Time{fn.zero_crossing()},
-                ShareSizing::from(cloud), opts, G};
-  thread_local Scratch scratch;
-  scratch.reset_needs(cloud.server_classes().size());
-
-  // Candidate servers in cluster order — the row order of the DP: in the
-  // cluster, not excluded, active when required, enough free disk (eq. 8),
-  // and room for one quantum. All scratch here is thread_local: the
-  // allocator probes tens of thousands of insertions per run and these
-  // buffers dominated the allocator's heap traffic. Each call fully
-  // (re)initializes what it reads, so reuse is invisible to results.
-  const auto& cluster_servers = cloud.cluster(k).servers;
-  thread_local std::vector<ServerId> cands;
-  cands.clear();
-  cands.reserve(cluster_servers.size());
-  // The disk test runs batched over the whole cluster in one sweep (SIMD,
-  // see ResidualView::screen_free_disk) — the same comparison, so the
-  // candidate list cannot differ from the scalar test's, which remains
-  // the fallback for a cluster whose server ids are not contiguous.
-  thread_local std::vector<std::uint8_t> disk_ok;
-  const bool screened = view.screen_free_disk(k, c.disk, kEps, disk_ok);
-  for (std::size_t idx = 0; idx < cluster_servers.size(); ++idx) {
-    const ServerId j = cluster_servers[idx];
-    if (screened ? disk_ok[idx] == 0 : view.free_disk(j) + kEps < c.disk)
-      continue;
-    if (j == constraints.exclude) continue;
-    if (!constraints.allow_inactive && !view.active(j)) continue;
-    if (!fits_one_quantum(view, j, p, scratch)) continue;
-    cands.push_back(j);
-  }
-  if (cands.empty()) return std::nullopt;
-  if (stats != nullptr) ++stats->full_solves;
-
-  score_rows(view, p, cands, scratch);
-  const auto dp = opt::dp_distribute(scratch.scores, scratch.row_of);
-  if (!dp) return std::nullopt;
-  return build_plan(c, cloud, i, k, G, cands, scratch, *dp);
+  ClientContext& context = thread_context();
+  context.begin(view.cloud(), i, opts);
+  return context.probe(view, k, constraints, stats);
 }
 
 std::optional<InsertionPlan> best_insertion(
     const ResidualView& view, ClientId i, const AllocatorOptions& opts,
     const InsertionConstraints& constraints, InsertionStats* stats) {
+  ClientContext& context = thread_context();
+  context.begin(view.cloud(), i, opts);
   std::optional<InsertionPlan> best;
+  const auto visit = [&](ClusterId k) {
+    auto plan = context.probe(view, k, constraints, stats);
+    if (plan && (!best || plan->score > best->score)) best = std::move(plan);
+  };
   const int num_clusters = view.cloud().num_clusters();
   const int fanout = opts.cluster_fanout;
   if (fanout > 0 && fanout < num_clusters) {
@@ -346,18 +374,12 @@ std::optional<InsertionPlan> best_insertion(
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i.value())) *
          2654435761ull) %
         kk;
-    for (int t = 0; t < fanout; ++t) {
-      const ClusterId k{static_cast<int>(
-          (start + static_cast<std::uint64_t>(t)) % kk)};
-      auto plan = assign_distribute(view, i, k, opts, constraints, stats);
-      if (plan && (!best || plan->score > best->score)) best = std::move(plan);
-    }
+    for (int t = 0; t < fanout; ++t)
+      visit(ClusterId{static_cast<int>(
+          (start + static_cast<std::uint64_t>(t)) % kk)});
     return best;
   }
-  for (ClusterId k : view.cloud().cluster_ids()) {
-    auto plan = assign_distribute(view, i, k, opts, constraints, stats);
-    if (plan && (!best || plan->score > best->score)) best = std::move(plan);
-  }
+  for (ClusterId k : view.cloud().cluster_ids()) visit(k);
   return best;
 }
 

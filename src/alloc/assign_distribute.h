@@ -17,12 +17,20 @@
 //            - P1_j * psi_g * lambda * alpha_p / Cp_j  (load cost)
 //            - P0_j * [server j currently OFF]         (activation)
 //
-// and a dynamic program combines servers under sum_j g_j = G. Servers
-// without enough free disk for m_i are excluded up front (eq. 8), and so
-// are servers whose free shares cannot hold the stability floor (eq. 7) of
-// even one quantum: their rows could not take part in any split. Every
-// other server of the cluster is scored — rows with equal inputs once —
-// and enters the DP, so the plan is exact for the grid.
+// and a dynamic program combines servers under sum_j g_j = G. One pass over
+// the cluster's servers screens out those without enough free disk for
+// m_i (eq. 8) and those whose free shares cannot hold the stability floor
+// (eq. 7) of even one quantum: their rows could not take part in any
+// split. Every other server of the cluster is scored — rows with equal
+// inputs once — and enters the DP, so the plan is exact for the grid.
+//
+// A probe splits into a per-client context (the linearization anchors,
+// each server class's floors and demands, and the scored rows) and a
+// per-cluster pass. best_insertion builds the context once and probes
+// every cluster of the client's window with it; a row scored on one
+// cluster serves every later candidate with the same key, since a row is
+// a pure function of its key and the client. assign_distribute is the
+// one-cluster case.
 //
 // Probes read the cluster's state from a ResidualView (model/residual.h):
 // an Allocation's own (Allocation::residual(), AllocState::view()) or a

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/mathutil.h"
-#include "queueing/response_time.h"
+#include "model/allocation.h"
 
 namespace cloudalloc::alloc {
 namespace {
@@ -20,22 +20,9 @@ using model::ServerClass;
 double revenue_of(const Cloud& cloud, ClientId i,
                   const std::vector<Placement>& ps) {
   if (ps.empty()) return 0.0;
-  const Client& c = cloud.client(i);
-  std::vector<queueing::ServerSlice> slices;
-  slices.reserve(ps.size());
-  for (const Placement& p : ps) {
-    const ServerClass& sc = cloud.server_class_of(p.server);
-    slices.push_back(queueing::ServerSlice{
-        p.psi, units::Share{p.phi_p}, units::Share{p.phi_n},
-        units::WorkRate{sc.cap_p}, units::WorkRate{sc.cap_n}});
-  }
-  const double r =
-      queueing::client_response_time(slices, units::ArrivalRate{c.lambda_pred},
-                                     units::Work{c.alpha_p},
-                                     units::Work{c.alpha_n})
-          .value();
+  const double r = model::response_time_of(cloud, i, ps);
   if (!std::isfinite(r)) return 0.0;
-  return c.lambda_agreed * cloud.utility_of(i).value(r);
+  return cloud.client(i).lambda_agreed * cloud.utility_of(i).value(r);
 }
 
 /// model::server_cost's formula from raw ingredients.

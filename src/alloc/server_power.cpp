@@ -103,9 +103,11 @@ double turn_on_servers(AllocState& state, ClusterId k,
   if (candidates.empty()) return 0.0;
 
   double total_delta = 0.0;
+  // The bidders change only when a candidate commits: a rollback restores
+  // cluster k bit for bit, so the list it would rebuild is the same.
+  std::vector<ClientId> bidders = degraded_clients(state.ledger(), k);
   for (const auto& [cls, j] : candidates) {
     (void)cls;
-    const std::vector<ClientId> bidders = degraded_clients(state.ledger(), k);
     if (bidders.empty()) break;
 
     // The trial runs in place under a savepoint over cluster k: bids
@@ -154,6 +156,7 @@ double turn_on_servers(AllocState& state, ClusterId k,
       if (gate_after > gate_before + bundle_penalty + 1e-12) {
         total_delta += gate_after - gate_before;
         state.commit();
+        bidders = degraded_clients(state.ledger(), k);
         continue;
       }
     }

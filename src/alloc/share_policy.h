@@ -102,12 +102,6 @@ int size_share_grid(units::ArrivalRate lambda, int G, units::WorkRate cap,
                     double free_share, units::ArrivalRate* arrivals,
                     units::Share* phi);
 
-/// size_share_grid's per-g feasibility test: a slice whose stability floor
-/// is `floor_share` fits a server with `free_share` free (within kEps).
-inline bool floor_fits(double floor_share, double free_share) {
-  return !(floor_share > free_share + kEps);
-}
-
 /// size_share_grid's stability floor at g = 1 for the same arguments,
 /// from the same expression in the same -ffp-contract=off TU — so
 /// floor_fits(one_quantum_floor(...), free) is false exactly when

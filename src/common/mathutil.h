@@ -14,6 +14,14 @@ namespace cloudalloc {
 
 inline constexpr double kEps = 1e-9;
 
+/// A slice whose stability floor is `floor_share` fits a server with
+/// `free_share` free (within kEps). The share grid's per-quantum test
+/// (alloc::size_share_grid) and the candidate screen's one-quantum test
+/// (model::ResidualView::screen) are both this expression.
+inline bool floor_fits(double floor_share, double free_share) {
+  return !(floor_share > free_share + kEps);
+}
+
 /// Clamp `x` into [lo, hi]; tolerant of lo slightly above hi from rounding.
 inline double clamp(double x, double lo, double hi) {
   if (lo > hi) lo = hi;

@@ -1,7 +1,7 @@
 // Portable SIMD lane abstraction for the batched double kernels.
 //
-// The hot kernels (queueing/batch.h, the share-grid sizing, the residual
-// disk screen) are straight elementwise loops over flat SoA arrays. This
+// The hot kernels (queueing/batch.h, the share-grid sizing, the insertion
+// DP) are straight elementwise loops over flat SoA arrays. This
 // header gives them explicit 4- and 8-wide double lanes built on GCC/Clang
 // vector extensions — no raw intrinsics, no <immintrin.h> — plus the
 // runtime dispatch machinery that picks a width per process:

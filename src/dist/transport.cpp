@@ -18,21 +18,34 @@ ChannelTransport::ChannelTransport(int num_agents) {
 bool ChannelTransport::send_to_agent(int k, std::string bytes) {
   CHECK(k >= 0 && k < num_agents());
   const std::size_t n = bytes.size();
-  if (!agent_inbox_[static_cast<std::size_t>(k)]->send(std::move(bytes)))
-    return false;
-  sync::MutexLock lock(bytes_mutex_);
-  bytes_ += n;
-  return true;
+  count_bytes(n);
+  if (agent_inbox_[static_cast<std::size_t>(k)]->send(std::move(bytes)))
+    return true;
+  uncount_bytes(n);
+  return false;
 }
 
 bool ChannelTransport::send_to_manager(int k, std::string bytes) {
   CHECK(k >= 0 && k < num_agents());
   const std::size_t n = bytes.size();
-  if (!manager_inbox_.send(ManagerEnvelope{k, std::move(bytes)}))
-    return false;
+  count_bytes(n);
+  if (manager_inbox_.send(ManagerEnvelope{k, std::move(bytes)})) return true;
+  uncount_bytes(n);
+  return false;
+}
+
+// A message's bytes are counted before it is delivered: a receiver that
+// has the message, and reads stats() after it, sees them. Counted after
+// the delivery, an agent's last response could be received, and the
+// run's stats read, before its sender thread had added its bytes.
+void ChannelTransport::count_bytes(std::size_t n) {
   sync::MutexLock lock(bytes_mutex_);
   bytes_ += n;
-  return true;
+}
+
+void ChannelTransport::uncount_bytes(std::size_t n) {
+  sync::MutexLock lock(bytes_mutex_);
+  bytes_ -= n;
 }
 
 std::optional<std::string> ChannelTransport::agent_receive(int k) {
@@ -163,32 +176,30 @@ void FaultyTransport::note_delivery_to_agent(int k) {
 
 bool FaultyTransport::send_to_agent(int k, std::string bytes) {
   CHECK(k >= 0 && k < num_agents());
-  const std::size_t n = bytes.size();
-  const bool ok = ship(
-      to_agent_[static_cast<std::size_t>(k)], std::move(bytes),
-      [this, k](std::string b) {
-        if (!inner_->send_to_agent(k, std::move(b))) return false;
-        note_delivery_to_agent(k);
-        return true;
-      });
-  sync::MutexLock lock(stats_mutex_);
-  ++local_.messages;
-  local_.bytes += n;
-  return ok;
+  count_send(bytes.size());
+  return ship(to_agent_[static_cast<std::size_t>(k)], std::move(bytes),
+              [this, k](std::string b) {
+                if (!inner_->send_to_agent(k, std::move(b))) return false;
+                note_delivery_to_agent(k);
+                return true;
+              });
 }
 
 bool FaultyTransport::send_to_manager(int k, std::string bytes) {
   CHECK(k >= 0 && k < num_agents());
-  const std::size_t n = bytes.size();
-  const bool ok =
-      ship(to_manager_[static_cast<std::size_t>(k)], std::move(bytes),
-           [this, k](std::string b) {
-             return inner_->send_to_manager(k, std::move(b));
-           });
+  count_send(bytes.size());
+  return ship(to_manager_[static_cast<std::size_t>(k)], std::move(bytes),
+              [this, k](std::string b) {
+                return inner_->send_to_manager(k, std::move(b));
+              });
+}
+
+// Every send attempt counts, delivered or not, and before the delivery,
+// for the reason ChannelTransport::count_bytes gives.
+void FaultyTransport::count_send(std::size_t n) {
   sync::MutexLock lock(stats_mutex_);
   ++local_.messages;
   local_.bytes += n;
-  return ok;
 }
 
 std::optional<std::string> FaultyTransport::agent_receive(int k) {

@@ -106,6 +106,9 @@ class ChannelTransport : public Transport {
   TransportStats stats() const override;
 
  private:
+  void count_bytes(std::size_t n);
+  void uncount_bytes(std::size_t n);
+
   std::vector<std::unique_ptr<Mailbox<std::string>>> agent_inbox_;
   Mailbox<ManagerEnvelope> manager_inbox_;
   // Byte counters only; message counts come from the mailboxes.
@@ -171,6 +174,7 @@ class FaultyTransport : public Transport {
   bool ship(Lane& lane, std::string bytes,
             const std::function<bool(std::string)>& deliver);
   void note_delivery_to_agent(int k);
+  void count_send(std::size_t n);
 
   std::unique_ptr<Transport> inner_;
   FaultPlan plan_;

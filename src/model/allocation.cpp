@@ -106,19 +106,7 @@ void Allocation::add_footprint(ClientId i) {
 
 double Allocation::response_time(ClientId i) const {
   if (!is_assigned(i)) return std::numeric_limits<double>::infinity();
-  const Client& c = cloud_->client(i);
-  std::vector<queueing::ServerSlice> slices;
-  slices.reserve(placements(i).size());
-  for (const Placement& p : placements(i)) {
-    const ServerClass& sc = cloud_->server_class_of(p.server);
-    slices.push_back(queueing::ServerSlice{
-        p.psi, units::Share{p.phi_p}, units::Share{p.phi_n},
-        units::WorkRate{sc.cap_p}, units::WorkRate{sc.cap_n}});
-  }
-  return queueing::client_response_time(slices, units::ArrivalRate{c.lambda_pred},
-                                        units::Work{c.alpha_p},
-                                        units::Work{c.alpha_n})
-      .value();
+  return response_time_of(*cloud_, i, placements(i));
 }
 
 double Allocation::used_phi_p(ServerId j) const {
@@ -206,6 +194,28 @@ int Allocation::num_active_servers() const {
   for (ServerId j : cloud_->server_ids())
     if (active(j)) ++n;
   return n;
+}
+
+double response_time_of(const Cloud& cloud, ClientId i,
+                        const std::vector<Placement>& ps) {
+  const Client& c = cloud.client(i);
+  const units::ArrivalRate lambda{c.lambda_pred};
+  const units::Work alpha_p{c.alpha_p};
+  const units::Work alpha_n{c.alpha_n};
+  units::Time r{0.0};
+  for (const Placement& p : ps) {
+    if (p.psi <= 0.0) continue;
+    const ServerClass& sc = cloud.server_class_of(p.server);
+    const units::Time t = queueing::slice_response_time(
+        queueing::ServerSlice{p.psi, units::Share{p.phi_p},
+                              units::Share{p.phi_n}, units::WorkRate{sc.cap_p},
+                              units::WorkRate{sc.cap_n}},
+        lambda, alpha_p, alpha_n);
+    if (t.value() == std::numeric_limits<double>::infinity())
+      return std::numeric_limits<double>::infinity();
+    r += p.psi * t;
+  }
+  return r.value();
 }
 
 }  // namespace cloudalloc::model

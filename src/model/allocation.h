@@ -135,4 +135,11 @@ class Allocation {
   mutable std::size_t repairs_ = 0;  ///< since the last drift rebase
 };
 
+/// Mean response time R = sum_j psi_j * T_j (eq. 1) of client i on the
+/// placements `ps`, summed in placement order: slices with psi <= 0 are
+/// skipped, and the first unstable slice returns +infinity. The arithmetic
+/// of queueing::client_response_time, without building its slice vector.
+double response_time_of(const Cloud& cloud, ClientId i,
+                        const std::vector<Placement>& ps);
+
 }  // namespace cloudalloc::model

@@ -52,6 +52,7 @@ Cloud::Cloud(std::vector<ServerClass> server_classes,
     CHECK(sv.background.phi_p >= 0.0 && sv.background.phi_p <= 1.0);
     CHECK(sv.background.phi_n >= 0.0 && sv.background.phi_n <= 1.0);
     CHECK(sv.background.disk >= 0.0);
+    class_index_.push_back(sv.server_class);
   }
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     const Client& c = clients_[i];

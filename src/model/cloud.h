@@ -68,6 +68,14 @@ class Cloud {
   const Server& server(ServerId j) const;
   const Cluster& cluster(ClusterId k) const;
   const ServerClass& server_class_of(ServerId j) const;
+
+  /// Every server's class as one dense array, indexed by
+  /// ServerId::index() — servers()[j].server_class without the stride of
+  /// a Server, for scans that read one class per server (the candidate
+  /// screen of model/residual.h).
+  const std::vector<ServerClassId>& class_index() const {
+    return class_index_;
+  }
   const UtilityFunction& utility_of(ClientId i) const;
 
   /// Total processing capacity across all servers (background excluded).
@@ -83,6 +91,7 @@ class Cloud {
   std::vector<Cluster> clusters_;
   std::vector<UtilityClass> utility_classes_;
   std::vector<Client> clients_;
+  std::vector<ServerClassId> class_index_;
   double total_cap_p_ = 0.0;
   double total_cap_n_ = 0.0;
   double total_demand_p_ = 0.0;

@@ -3,78 +3,9 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/simd.h"
+#include "common/mathutil.h"
 
 namespace cloudalloc::model {
-
-namespace {
-
-// --- free-disk screen kernel (see ResidualView::screen_free_disk) --------
-//
-// free[i] = cap_m[i] - (used_disk[i] + bg_disk[i]) — the exact expression
-// chain of the scalar free_disk() accessor, elementwise over a contiguous
-// server range. Subtraction/addition only (no multiply), so there is no
-// FMA-contraction hazard at any lane width; bit-identity needs no special
-// flags here, only identical operation order, which the template body
-// guarantees for the vector main loop and the scalar tail alike.
-
-template <int W>
-[[gnu::always_inline]] inline void free_disk_w(const double* cap,
-                                               const double* used,
-                                               const double* bg,
-                                               std::size_t n, double* out) {
-  std::size_t i = 0;
-  if constexpr (W > 1) {
-    for (; i + W <= n; i += W) {
-      const auto c = simd::load<W>(cap + i);
-      const auto u = simd::load<W>(used + i);
-      const auto b = simd::load<W>(bg + i);
-      simd::store<W>(out + i, c - (u + b));
-    }
-  }
-  for (; i < n; ++i) out[i] = cap[i] - (used[i] + bg[i]);
-}
-
-void free_disk_scalar(const double* cap, const double* used, const double* bg,
-                      std::size_t n, double* out) {
-  free_disk_w<1>(cap, used, bg, n, out);
-}
-
-#if CLOUDALLOC_SIMD_X86
-__attribute__((target("avx2"))) void free_disk_avx2(const double* cap,
-                                                    const double* used,
-                                                    const double* bg,
-                                                    std::size_t n,
-                                                    double* out) {
-  free_disk_w<4>(cap, used, bg, n, out);
-}
-__attribute__((target("avx512f"))) void free_disk_avx512(const double* cap,
-                                                         const double* used,
-                                                         const double* bg,
-                                                         std::size_t n,
-                                                         double* out) {
-  free_disk_w<8>(cap, used, bg, n, out);
-}
-#endif
-
-void free_disk_batch(const double* cap, const double* used, const double* bg,
-                     std::size_t n, double* out) {
-#if CLOUDALLOC_SIMD_X86
-  switch (simd::active_width()) {
-    case 8:
-      free_disk_avx512(cap, used, bg, n, out);
-      return;
-    case 4:
-      free_disk_avx2(cap, used, bg, n, out);
-      return;
-    default:
-      break;
-  }
-#endif
-  free_disk_scalar(cap, used, bg, n, out);
-}
-
-}  // namespace
 
 ResidualView::ResidualView(const Cloud& cloud) : cloud_(&cloud) {
   const auto num_servers = static_cast<std::size_t>(cloud.num_servers());
@@ -96,39 +27,28 @@ ResidualView::ResidualView(const Cloud& cloud) : cloud_(&cloud) {
     cap_m_[j] = cloud.server_class_of(j).cap_m;
     keeps_on_[j] = bg.keeps_on ? 1 : 0;
   }
-  const auto num_clusters = static_cast<std::size_t>(cloud.num_clusters());
-  contig_base_.resize(num_clusters);
-  for (ClusterId k : cloud.cluster_ids()) {
-    const auto& servers = cloud.cluster(k).servers;
-    int base = servers.empty() ? -1 : static_cast<int>(servers.front().value());
-    for (std::size_t idx = 0; idx < servers.size() && base >= 0; ++idx) {
-      if (servers[idx].value() !=
-          static_cast<ServerId::value_type>(base) +
-              static_cast<ServerId::value_type>(idx)) {
-        base = -1;
-      }
-    }
-    contig_base_[k] = base;
-  }
 }
 
-bool ResidualView::screen_free_disk(ClusterId k, double need, double eps,
-                                    std::vector<std::uint8_t>& ok) const {
-  const int base = contig_base_[k];
-  if (base < 0) return false;
-  const std::size_t n = cloud_->cluster(k).servers.size();
-  ok.resize(n);
-  const auto b = static_cast<std::size_t>(base);
-  thread_local std::vector<double> free_buf;
-  if (free_buf.size() < n) free_buf.resize(n);
-  free_disk_batch(cap_m_.data() + b, used_disk_.data() + b,
-                  bg_disk_.data() + b, n, free_buf.data());
-  // Negated form of the scalar reject test (free + eps < need), the exact
-  // comparison of Assign_Distribute's per-server fallback.
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    ok[idx] = (free_buf[idx] + eps < need) ? 0 : 1;
+std::size_t ResidualView::screen(ClusterId k, const Screen& s,
+                                 std::vector<Candidate>& out) const {
+  const std::vector<ServerId>& servers = cloud_->cluster(k).servers;
+  const std::vector<ServerClassId>& classes = cloud_->class_index();
+  if (out.size() < servers.size()) out.resize(servers.size());
+  std::size_t n = 0;
+  for (const ServerId j : servers) {
+    const ServerClassId cls = classes[j.index()];
+    const Floors& floors = s.floors[cls.index()];
+    const double free_p = free_phi_p(j);
+    const double free_n = free_phi_n(j);
+    const bool on = (hosted_[j] > 0) | (keeps_on_[j] != 0);  // active(j)
+    const bool disk_fits = !(free_disk(j) + kEps < s.disk);
+    const bool allowed = (j != s.exclude) & (s.allow_inactive | on);
+    const bool quantum_fits =
+        floor_fits(floors.p, free_p) & floor_fits(floors.n, free_n);
+    out[n] = Candidate{j, cls, on, free_p, free_n};
+    n += static_cast<std::size_t>(disk_fits & allowed & quantum_fits);
   }
-  return true;
+  return n;
 }
 
 ResidualView::Undo::Entry ResidualView::entry(ServerId j) const {

@@ -52,17 +52,41 @@ class ResidualView {
   int hosted_clients(ServerId j) const { return hosted_[j]; }
   bool keeps_on(ServerId j) const { return keeps_on_[j] != 0; }
 
-  /// Batched eq.-8 free-disk screen over cluster k's servers (SIMD lanes,
-  /// common/simd.h): ok[idx] = free_disk(servers[idx]) + eps >= need for
-  /// idx in cluster order, resizing `ok` to the cluster size. Returns
-  /// false — leaving `ok` untouched — when the cluster's server ids are
-  /// not one contiguous ascending range (the scenario generators build
-  /// contiguous clusters; hand-built clouds may not), in which case the
-  /// caller falls back to per-server free_disk() tests. The comparison is
-  /// the scalar test's exact operation chain, so the mask never admits or
-  /// drops a server the scalar filter would not.
-  bool screen_free_disk(ClusterId k, double need, double eps,
-                        std::vector<std::uint8_t>& ok) const;
+  // --- Assign_Distribute's candidate screen -------------------------------
+
+  /// One server class's one-quantum stability floors (eq. 7), per resource.
+  struct Floors {
+    double p = 0.0;
+    double n = 0.0;
+  };
+  /// What the screen asks of a server on behalf of one client.
+  struct Screen {
+    double disk = 0.0;               ///< the client's disk need m_i
+    ServerId exclude = kNoServer;    ///< never kept
+    bool allow_inactive = true;      ///< if false, only active servers
+    const Floors* floors = nullptr;  ///< indexed by server class
+  };
+  /// A kept server, with the readings the screen took.
+  struct Candidate {
+    ServerId server;
+    ServerClassId server_class;
+    bool active = false;
+    double free_p = 0.0;
+    double free_n = 0.0;
+  };
+
+  /// One pass over cluster k's servers, in cluster order, reading each
+  /// server's class from Cloud::class_index(), that keeps server j when
+  /// all four hold:
+  ///  - !(free_disk(j) + kEps < s.disk)             (disk, eq. 8);
+  ///  - j != s.exclude;
+  ///  - s.allow_inactive || active(j);
+  ///  - floor_fits(floor, free share) for both of j's class floors.
+  /// Writes the kept servers to out[0, n) and returns n; `out` grows to the
+  /// cluster's size. The pass has no branch per server: every server is
+  /// written to out[n], and n advances only past a kept one.
+  std::size_t screen(ClusterId k, const Screen& s,
+                     std::vector<Candidate>& out) const;
 
   // --- speculative mutation with exact rollback ---------------------------
 
@@ -111,8 +135,6 @@ class ResidualView {
   // Immutable per-server constants, flattened for locality.
   IdVector<ServerId, double> bg_p_, bg_n_, bg_disk_, cap_m_;
   IdVector<ServerId, std::uint8_t> keeps_on_;
-  // Per-cluster contiguous-range bases (first server id, or -1).
-  IdVector<ClusterId, int> contig_base_;
 };
 
 }  // namespace cloudalloc::model

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "alloc/allocator.h"
 #include "alloc/share_policy.h"
 #include "common/mathutil.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
@@ -210,14 +212,21 @@ struct ShortcutCounts {
   long infeasible_rows = 0;
   long repeated_keys = 0;
   long disk_rejects = 0;
+  long cross_cluster_keys = 0;  ///< keys first met on an earlier cluster
+  long max_window_keys = 0;     ///< distinct keys of the largest window
 };
+
+using RowKey = std::array<std::uint64_t, 3>;
 
 /// Assign_Distribute with no shortcut: the eq.-8 candidate filter only,
 /// every row scored from scratch, the DP over every row, then the plan.
+/// With `window`, the keys of the client's earlier probes, it also counts
+/// the keys a probe shares with them but not with its own earlier rows.
 template <class State>
 std::optional<InsertionPlan> reference_insertion(
     const State& state, ClientId i, ClusterId k, const AllocatorOptions& opts,
-    const InsertionConstraints& constraints, ShortcutCounts& counts) {
+    const InsertionConstraints& constraints, ShortcutCounts& counts,
+    std::set<RowKey>* window = nullptr) {
   const model::Cloud& cloud = state.cloud();
   const model::Client& c = cloud.client(i);
   const auto& fn = cloud.utility_of(i);
@@ -231,7 +240,7 @@ std::optional<InsertionPlan> reference_insertion(
 
   std::vector<std::vector<double>> scores;
   std::vector<std::vector<Placement>> slices;  // [row][g]
-  std::set<std::array<std::uint64_t, 3>> keys;
+  std::set<RowKey> keys;
   for (ServerId j : cloud.cluster(k).servers) {
     if (j == constraints.exclude) continue;
     if (!constraints.allow_inactive && !state.active(j)) continue;
@@ -274,12 +283,16 @@ std::optional<InsertionPlan> reference_insertion(
           free_n;
       const auto cls =
           static_cast<std::uint64_t>(cloud.server(j).server_class.value());
-      const std::array<std::uint64_t, 3> key{
+      const RowKey key{
           (cls << 3) | (was_active ? 4u : 0u) | (unclamped_p ? 2u : 0u) |
               (unclamped_n ? 1u : 0u),
           unclamped_p ? 0 : std::bit_cast<std::uint64_t>(free_p),
           unclamped_n ? 0 : std::bit_cast<std::uint64_t>(free_n)};
-      if (!keys.insert(key).second) ++counts.repeated_keys;
+      if (!keys.insert(key).second) {
+        ++counts.repeated_keys;
+      } else if (window != nullptr && !window->insert(key).second) {
+        ++counts.cross_cluster_keys;
+      }
 
       const auto n = static_cast<std::size_t>(gmax);
       queueing::gps_service_rates(phi_p.data() + 1, WorkRate{sc.cap_p},
@@ -465,9 +478,9 @@ model::Cloud deal_round_robin(const model::Cloud& cloud) {
                       cloud.clients());
 }
 
-// The batched disk screen needs contiguous server ids, which the
-// generators always emit; this cloud has none, so every probe takes the
-// per-server free_disk fallback.
+// The generators always emit clusters of contiguous server ids; this
+// cloud has none, so the screen reads every cluster's servers out of id
+// order.
 TEST(AssignDistributeReference, MatchesOnNonContiguousClusters) {
   LaneWidthRestorer restore;
   ShortcutCounts counts;
@@ -480,13 +493,285 @@ TEST(AssignDistributeReference, MatchesOnNonContiguousClusters) {
   const model::Cloud cloud =
       deal_round_robin(workload::make_scenario(params, 37));
   const Allocation alloc = half_loaded(cloud, 40);
-  std::vector<std::uint8_t> ok;
-  for (ClusterId k : cloud.cluster_ids())
-    ASSERT_FALSE(alloc.residual().screen_free_disk(k, 1.0, kEps, ok))
-        << "cluster " << k.value();
   for (int i_raw = 40; i_raw < cloud.num_clients(); ++i_raw)
     check_client(alloc, ClientId{i_raw}, counts);
   EXPECT_GT(counts.disk_rejects, 0);
+}
+
+// --- one context per client: best_insertion over a window ---------------
+
+/// The clusters best_insertion probes for client i, in its order: the
+/// fan-out window that AllocatorOptions::cluster_fanout documents (a fixed
+/// multiplicative hash of the client id picks the start), or every
+/// cluster.
+std::vector<ClusterId> window_of(const model::Cloud& cloud, ClientId i,
+                                 int fanout) {
+  std::vector<ClusterId> out;
+  const int num_clusters = cloud.num_clusters();
+  if (fanout <= 0 || fanout >= num_clusters) {
+    for (ClusterId k : cloud.cluster_ids()) out.push_back(k);
+    return out;
+  }
+  const auto kk = static_cast<std::uint64_t>(num_clusters);
+  const std::uint64_t start =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(i.value())) *
+      2654435761ull % kk;
+  for (int t = 0; t < fanout; ++t)
+    out.push_back(ClusterId{
+        static_cast<int>((start + static_cast<std::uint64_t>(t)) % kk)});
+  return out;
+}
+
+/// Compares best_insertion(i) at every lane width, bit for bit, with two
+/// test-local loops over the same window that keep the first best score:
+/// one of fresh assign_distribute probes, one of shortcut-free reference
+/// probes. Every third client may only use active servers, and every
+/// fourth excludes the first server of its window's second cluster.
+void check_window(const Allocation& alloc, ClientId i,
+                  const AllocatorOptions& opts, ShortcutCounts& counts) {
+  const model::Cloud& cloud = alloc.cloud();
+  const std::vector<ClusterId> window =
+      window_of(cloud, i, opts.cluster_fanout);
+  InsertionConstraints constraints;
+  constraints.allow_inactive = i.value() % 3 != 0;
+  if (i.value() % 4 == 1)
+    constraints.exclude = cloud.cluster(window[1 % window.size()]).servers[0];
+
+  std::set<RowKey> window_keys;
+  std::optional<InsertionPlan> want;
+  for (ClusterId k : window) {
+    auto plan = reference_insertion(alloc, i, k, opts, constraints, counts,
+                                    &window_keys);
+    if (plan && (!want || plan->score > want->score)) want = std::move(plan);
+  }
+  counts.max_window_keys =
+      std::max(counts.max_window_keys, static_cast<long>(window_keys.size()));
+
+  for (int w : lane_widths()) {
+    simd::override_width_for_test(w);
+    std::optional<InsertionPlan> fresh;
+    for (ClusterId k : window) {
+      auto plan = assign_distribute(alloc.residual(), i, k, opts, constraints);
+      if (plan && (!fresh || plan->score > fresh->score))
+        fresh = std::move(plan);
+    }
+    const std::string where = "client " + std::to_string(i.value()) +
+                              " width " + std::to_string(w);
+    const auto got = best_insertion(alloc.residual(), i, opts, constraints);
+    expect_same_plan(got, fresh, where + " vs fresh probes");
+    expect_same_plan(got, want, where + " vs reference");
+  }
+}
+
+/// `clusters` x 12 servers, a fifth of them carrying background load (and
+/// so kept on), and 15 clients per cluster.
+model::Cloud window_cloud(int clusters, std::uint64_t seed) {
+  workload::ScenarioParams params;
+  params.num_clients = 15 * clusters;
+  params.num_clusters = clusters;
+  params.num_server_classes = 4;
+  params.servers_per_cluster = 12;
+  params.background_probability = 0.2;
+  return workload::make_scenario(params, seed);
+}
+
+TEST(AssignDistributeWindow, FanOutMatchesFreshProbes) {
+  LaneWidthRestorer restore;
+  ShortcutCounts counts;
+  AllocatorOptions opts;
+  opts.cluster_fanout = 4;
+  for (std::uint64_t seed : {71, 73}) {
+    const model::Cloud cloud = window_cloud(10, seed);
+    const int placed = cloud.num_clients() * 3 / 5;
+    const Allocation alloc = half_loaded(cloud, placed);
+    for (int i_raw = placed; i_raw < cloud.num_clients(); ++i_raw)
+      check_window(alloc, ClientId{i_raw}, opts, counts);
+  }
+  EXPECT_GT(counts.cross_cluster_keys, 0);
+  EXPECT_GT(counts.repeated_keys, 0);
+  EXPECT_GT(counts.infeasible_rows, 0);
+}
+
+TEST(AssignDistributeWindow, FullScanMatchesFreshProbes) {
+  LaneWidthRestorer restore;
+  ShortcutCounts counts;
+  const AllocatorOptions opts;  // cluster_fanout 0: every cluster
+  const model::Cloud cloud = window_cloud(6, 79);
+  const int placed = cloud.num_clients() * 3 / 5;
+  const Allocation alloc = half_loaded(cloud, placed);
+  for (int i_raw = placed; i_raw < cloud.num_clients(); ++i_raw)
+    check_window(alloc, ClientId{i_raw}, opts, counts);
+  EXPECT_GT(counts.cross_cluster_keys, 0);
+  EXPECT_GT(counts.repeated_keys, 0);
+}
+
+// Every server carries its own random background load and every client
+// demands more than any server has free, so almost every row is clamped
+// and keyed by its server's free-share bits: a full scan meets hundreds of
+// distinct keys, several times the 64 that fill the memo's first table.
+TEST(AssignDistributeWindow, MemoGrowsPastItsFirstTable) {
+  LaneWidthRestorer restore;
+  ShortcutCounts counts;
+  workload::ScenarioParams params;
+  params.num_clients = 12;
+  params.num_clusters = 8;
+  params.num_server_classes = 3;
+  params.servers_per_cluster = 40;
+  params.lambda_lo = params.lambda_hi = 4.5;
+  params.alpha_lo = params.alpha_hi = 1.0;
+  params.background_probability = 1.0;
+  params.background_share_hi = 0.5;
+  const model::Cloud cloud = workload::make_scenario(params, 83);
+  const Allocation alloc(cloud);
+  const AllocatorOptions opts;
+  for (ClientId i : cloud.client_ids()) check_window(alloc, i, opts, counts);
+  EXPECT_GT(counts.max_window_keys, 256);
+}
+
+// --- the candidate screen ------------------------------------------------
+
+/// The screen's four tests, one server at a time, through the view's
+/// scalar accessors.
+bool scalar_keeps(const model::ResidualView& view, ServerId j,
+                  const model::ResidualView::Screen& s) {
+  const model::ResidualView::Floors& floors =
+      s.floors[view.cloud().server(j).server_class.index()];
+  if (view.free_disk(j) + kEps < s.disk) return false;
+  if (j == s.exclude) return false;
+  if (!s.allow_inactive && !view.active(j)) return false;
+  return floor_fits(floors.p, view.free_phi_p(j)) &&
+         floor_fits(floors.n, view.free_phi_n(j));
+}
+
+/// What the screen covered: servers kept and dropped, and servers kept
+/// while only their keeps-on flag made them active.
+struct ScreenCounts {
+  long kept = 0;
+  long dropped = 0;
+  long kept_on_by_flag = 0;
+};
+
+/// Runs the screen on cluster k and compares it with scalar_keeps over the
+/// cluster's servers in order: the same servers, classes, activity and
+/// free-share bits. Returns whether `probe` was kept.
+bool expect_screen_matches(const model::ResidualView& view, ClusterId k,
+                           const model::ResidualView::Screen& s,
+                           ScreenCounts& counts,
+                           ServerId probe = model::kNoServer) {
+  std::vector<model::ResidualView::Candidate> got;
+  const std::size_t n = view.screen(k, s, got);
+  std::vector<ServerId> want;
+  for (ServerId j : view.cloud().cluster(k).servers) {
+    if (scalar_keeps(view, j, s)) {
+      want.push_back(j);
+      ++counts.kept;
+      if (!s.allow_inactive && view.hosted_clients(j) == 0)
+        ++counts.kept_on_by_flag;
+    } else {
+      ++counts.dropped;
+    }
+  }
+  EXPECT_EQ(n, want.size()) << "cluster " << k.value();
+  bool kept = false;
+  for (std::size_t idx = 0; idx < std::min(n, want.size()); ++idx) {
+    const model::ResidualView::Candidate& c = got[idx];
+    const ServerId j = want[idx];
+    EXPECT_EQ(c.server, j) << "cluster " << k.value() << " idx " << idx;
+    EXPECT_EQ(c.server_class, view.cloud().server(j).server_class);
+    EXPECT_EQ(c.active, view.active(j));
+    EXPECT_EQ(bits(c.free_p), bits(view.free_phi_p(j)));
+    EXPECT_EQ(bits(c.free_n), bits(view.free_phi_n(j)));
+    kept |= c.server == probe;
+  }
+  return kept;
+}
+
+/// A cloud with background load (and so the keeps-on flag) on about a
+/// third of its servers: contiguous clusters as the generator builds them,
+/// or the same servers dealt round-robin.
+model::Cloud screen_cloud(bool dealt) {
+  workload::ScenarioParams params;
+  params.num_clients = 80;
+  params.num_clusters = 4;
+  params.num_server_classes = 3;
+  params.servers_per_cluster = 13;
+  params.disk_lo = 0.5;
+  params.disk_hi = 2.5;
+  params.background_probability = 0.3;
+  const model::Cloud cloud = workload::make_scenario(params, 89);
+  return dealt ? deal_round_robin(cloud) : cloud;
+}
+
+TEST(AssignDistributeScreen, MatchesScalarFilter) {
+  for (bool dealt : {false, true}) {
+    const model::Cloud cloud = screen_cloud(dealt);
+    const Allocation alloc = half_loaded(cloud, 15);
+    const model::ResidualView& view = alloc.residual();
+    Rng rng(dealt ? 97 : 101);
+    ScreenCounts counts;
+    std::vector<model::ResidualView::Floors> floors(
+        cloud.server_classes().size());
+    for (int trial = 0; trial < 200; ++trial) {
+      for (auto& f : floors) {
+        f.p = rng.uniform() * 0.8;
+        f.n = rng.uniform() * 0.8;
+      }
+      model::ResidualView::Screen s;
+      s.disk = rng.uniform() * 3.0;
+      s.allow_inactive = trial % 2 == 0;
+      if (trial % 3 == 0)
+        s.exclude = ServerId{static_cast<int>(
+            rng() % static_cast<std::uint64_t>(cloud.num_servers()))};
+      s.floors = floors.data();
+      for (ClusterId k : cloud.cluster_ids())
+        expect_screen_matches(view, k, s, counts);
+    }
+    EXPECT_GT(counts.kept, 0) << "dealt " << dealt;
+    EXPECT_GT(counts.dropped, 0) << "dealt " << dealt;
+    EXPECT_GT(counts.kept_on_by_flag, 0) << "dealt " << dealt;
+  }
+}
+
+// Each bound of the screen — the client's disk need against the free disk
+// plus kEps, and each class floor against a free share plus kEps — is set
+// exactly at a server's reading and one ulp either side of it.
+TEST(AssignDistributeScreen, DecidesBoundsToTheUlp) {
+  for (bool dealt : {false, true}) {
+    const model::Cloud cloud = screen_cloud(dealt);
+    const Allocation alloc = half_loaded(cloud, 50);
+    const model::ResidualView& view = alloc.residual();
+    ScreenCounts counts;
+    std::vector<model::ResidualView::Floors> floors(
+        cloud.server_classes().size());
+    const double down = -std::numeric_limits<double>::infinity();
+    const double up = std::numeric_limits<double>::infinity();
+    for (ClusterId k : cloud.cluster_ids()) {
+      for (ServerId j : cloud.cluster(k).servers) {
+        const std::size_t cls = cloud.server(j).server_class.index();
+        const auto keeps = [&](double disk, double floor_p, double floor_n) {
+          std::fill(floors.begin(), floors.end(),
+                    model::ResidualView::Floors{});
+          floors[cls] = {floor_p, floor_n};
+          model::ResidualView::Screen s;
+          s.disk = disk;
+          s.floors = floors.data();
+          return expect_screen_matches(view, k, s, counts, j);
+        };
+        const double disk = view.free_disk(j) + kEps;
+        EXPECT_TRUE(keeps(std::nextafter(disk, down), 0.0, 0.0));
+        EXPECT_TRUE(keeps(disk, 0.0, 0.0));
+        EXPECT_FALSE(keeps(std::nextafter(disk, up), 0.0, 0.0));
+        const double floor_p = view.free_phi_p(j) + kEps;
+        EXPECT_TRUE(keeps(0.0, std::nextafter(floor_p, down), 0.0));
+        EXPECT_TRUE(keeps(0.0, floor_p, 0.0));
+        EXPECT_FALSE(keeps(0.0, std::nextafter(floor_p, up), 0.0));
+        const double floor_n = view.free_phi_n(j) + kEps;
+        EXPECT_TRUE(keeps(0.0, 0.0, std::nextafter(floor_n, down)));
+        EXPECT_TRUE(keeps(0.0, 0.0, floor_n));
+        EXPECT_FALSE(keeps(0.0, 0.0, std::nextafter(floor_n, up)));
+      }
+    }
+  }
 }
 
 }  // namespace

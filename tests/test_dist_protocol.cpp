@@ -472,5 +472,32 @@ TEST(AgentActor, GreedyByBidsMatchesLocalEvaluationBitwise) {
   for (auto& t : threads) t.join();
 }
 
+// A receiver that has a message, and reads stats() after it, sees the
+// message's bytes: each send counts its bytes before it delivers.
+TEST(TransportStats, ReceivedMessagesAreAlreadyCounted) {
+  constexpr int kMessages = 20000;
+  for (const bool faulty : {false, true}) {
+    std::unique_ptr<Transport> transport = std::make_unique<ChannelTransport>(1);
+    if (faulty)
+      transport = std::make_unique<FaultyTransport>(std::move(transport),
+                                                    FaultPlan{});
+    std::thread agent([&transport] {
+      for (int m = 0; m < kMessages; ++m)
+        EXPECT_TRUE(transport->send_to_manager(0, std::string(64, 'x')));
+    });
+    std::size_t received = 0;
+    long undercounted = 0;
+    for (int m = 0; m < kMessages; ++m) {
+      const auto envelope = transport->manager_receive_for(-1.0);
+      ASSERT_TRUE(envelope.has_value());
+      received += envelope->bytes.size();
+      undercounted += transport->stats().bytes < received ? 1 : 0;
+    }
+    agent.join();
+    EXPECT_EQ(undercounted, 0) << (faulty ? "faulty" : "channel");
+    EXPECT_EQ(transport->stats().bytes, received);
+  }
+}
+
 }  // namespace
 }  // namespace cloudalloc::dist

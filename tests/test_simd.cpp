@@ -2,9 +2,8 @@
 // every kernel must produce BITWISE-identical outputs at lane widths 1, 4
 // and 8 (the kernels are pure elementwise IEEE chains compiled with
 // -ffp-contract=off), and must match the historical scalar helpers they
-// replaced operation-for-operation. Also covered: the batched free-disk
-// screen agrees with the scalar filter on every server, and the DP kernel
-// agrees with the historical push-form DP.
+// replaced operation-for-operation. Also covered: the DP kernel agrees
+// with the historical push-form DP.
 //
 // Width sweeps use simd::override_width_for_test; on hardware without
 // AVX2/AVX-512 the override clamps down and the sweep degenerates to the
@@ -22,18 +21,15 @@
 
 #include <gtest/gtest.h>
 
-#include "alloc/initial.h"
 #include "alloc/options.h"
 #include "alloc/share_policy.h"
 #include "common/mathutil.h"
 #include "common/rng.h"
 #include "common/simd.h"
-#include "model/residual.h"
 #include "opt/dp.h"
 #include "queueing/batch.h"
 #include "queueing/gps.h"
 #include "queueing/mm1.h"
-#include "workload/scenario.h"
 
 namespace cloudalloc {
 namespace {
@@ -216,7 +212,7 @@ TEST(SimdKernels, OneQuantumScreenAgreesWithShareGridAtEveryWidth) {
         free_share = std::nextafter(free_share, -1.0);
       bool saw_fit = false, saw_no_fit = false;
       for (int step = 0; step < 128; ++step) {
-        const bool fits = alloc::floor_fits(floor, free_share);
+        const bool fits = floor_fits(floor, free_share);
         saw_fit |= fits;
         saw_no_fit |= !fits;
         for (int w : sweep_widths()) {
@@ -235,17 +231,6 @@ TEST(SimdKernels, OneQuantumScreenAgreesWithShareGridAtEveryWidth) {
   }
   // Every sweep crossed the boundary: it saw both verdicts.
   EXPECT_EQ(crossed, 5 * 8);
-}
-
-// --- batched free-disk screen ------------------------------------------
-
-model::Allocation churned_allocation(const model::Cloud& cloud,
-                                     std::uint64_t seed) {
-  std::vector<model::ClientId> order;
-  for (model::ClientId i : cloud.client_ids()) order.push_back(i);
-  Rng rng(seed);
-  rng.shuffle(order);
-  return alloc::greedy_insert(model::Allocation(cloud), order, {});
 }
 
 /// The historical push-form dp_distribute, as it was before the lane
@@ -375,41 +360,6 @@ TEST(SimdKernels, DpMatchesHistoricalPushLoopAtEveryWidth) {
   // Both outcomes must be exercised.
   EXPECT_GT(compared, 300);
   EXPECT_GT(infeasible, 10);
-}
-
-TEST(SimdKernels, DiskScreenMatchesScalarFilter) {
-  WidthRestorer restore;
-  workload::ScenarioParams params;
-  params.num_clients = 50;
-  params.servers_per_cluster = 13;  // odd: vector body + tail
-  const auto cloud = workload::make_scenario(params, 59);
-  const auto base = churned_allocation(cloud, 61);
-  const model::ResidualView view = base.residual();
-
-  Rng rng(67);
-  std::vector<std::uint8_t> ok;
-  for (int w : sweep_widths()) {
-    simd::override_width_for_test(w);
-    for (model::ClusterId k : cloud.cluster_ids()) {
-      const auto& servers = cloud.cluster(k).servers;
-      for (int trial = 0; trial < 8; ++trial) {
-        // Sweep needs across the free-disk range, including exact residual
-        // values (the comparison boundary).
-        const double need =
-            trial < 4 ? rng.uniform() * 3.0
-                      : view.free_disk(servers[static_cast<std::size_t>(
-                            rng() % servers.size())]);
-        ASSERT_TRUE(view.screen_free_disk(k, need, kEps, ok))
-            << "generator no longer emits contiguous clusters";
-        ASSERT_EQ(ok.size(), servers.size());
-        for (std::size_t idx = 0; idx < servers.size(); ++idx) {
-          const bool scalar = !(view.free_disk(servers[idx]) + kEps < need);
-          EXPECT_EQ(ok[idx] != 0, scalar)
-              << "width " << w << " cluster " << k << " idx " << idx;
-        }
-      }
-    }
-  }
 }
 
 }  // namespace
