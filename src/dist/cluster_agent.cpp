@@ -25,7 +25,7 @@ protocol::ClusterImprovement ClusterAgent::improve(
   const model::Cloud& cloud = snapshot.cloud();
   // Private engine copy at the snapshot boundary: the one Allocation copy
   // per agent per round that the message-passing model inherently needs
-  // (the snapshot is shared read-only across agents).
+  // (improve only reads the snapshot it is given).
   // analyze: allow(allocation-copy) -- agent-snapshot boundary (see the
   // comment above: the one sanctioned copy per agent round).
   model::AllocState local(snapshot.clone());
@@ -118,8 +118,8 @@ bool AgentActor::apply_delta(const protocol::StateDelta& delta) {
 model::Allocation AgentActor::rebuild() const {
   model::Allocation snapshot =
       protocol::rebuild_allocation(cloud_, replica_);
-  // Settle before handing out: both deployment modes present agents a
-  // freshly-rebuilt, settled snapshot (bit-identity across modes).
+  // Settle before handing out: the agent reads a freshly-rebuilt, settled
+  // snapshot, bitwise what the in-memory reference rounds hand it.
   (void)model::profit(snapshot);
   return snapshot;
 }

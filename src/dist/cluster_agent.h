@@ -7,10 +7,10 @@
 //
 // ClusterAgent is the pure compute core (snapshot in, improvement out);
 // AgentActor wraps it in a message-driven loop over a Transport channel —
-// the form the paper's architecture actually calls for. Both deployment
-// modes feed the core snapshots rebuilt by protocol::rebuild_allocation,
-// so a fault-free message-passing run is bit-identical to the
-// shared-memory run.
+// the form the paper's architecture actually calls for. The actor feeds
+// the core snapshots rebuilt by protocol::rebuild_allocation, so a
+// fault-free run is bit-identical to the same rounds run in one address
+// space (tests/test_dist.cpp keeps that loop as the reference).
 #pragma once
 
 #include <map>

@@ -3,8 +3,8 @@
 // Built on common/json (whose number emission is %.17g, i.e. doubles
 // round-trip bit-exactly) and model/serialize's placement helpers, so an
 // encode/decode round trip reproduces every psi/phi/score bitwise — the
-// foundation of the "message-passing mode is bit-identical to the
-// shared-memory mode" guarantee.
+// foundation of the guarantee that a fault-free distributed run is
+// bit-identical to the same rounds run in one address space.
 //
 // Decoding is defensive: a malformed or truncated buffer yields nullopt
 // (with a diagnostic in *error), never a CHECK — a faulty transport must

@@ -43,52 +43,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-/// Shared improvement-loop bookkeeping: best-checkpoint tracking, stall
-/// detection, and the epoch-deadline contract both modes honor.
-struct LoopState {
-  model::AllocState state;
-  model::AllocState::Checkpoint best;
-  double best_profit;
-  int stalled_rounds = 0;
-  Clock::time_point start;
-
-  LoopState(Allocation initial, double profit, Clock::time_point t0)
-      : state(std::move(initial)),
-        best(state.checkpoint(profit)),
-        best_profit(profit),
-        start(t0) {}
-
-  /// The epoch deadline, mirroring allocator.cpp's between-passes check:
-  /// the distributed loop checks it between rounds (the round is the
-  /// distributed mode's indivisible unit of work).
-  bool over_budget(const alloc::AllocatorOptions& opts) const {
-    return opts.time_budget_ms > 0.0 &&
-           ms_since(start) >= opts.time_budget_ms;
-  }
-
-  /// Profit accounting after a merged round; returns true when the loop
-  /// should stop (two rounds without a new best).
-  bool note_round(double profit_after, const alloc::AllocatorOptions& opts,
-                  DistributedReport& report, int round) {
-    report.round_profits.push_back(profit_after);
-    report.rounds_run = round + 1;
-    const double significant =
-        opts.steady_tolerance * std::max(std::fabs(best_profit), 1.0);
-    if (profit_after > best_profit + significant) {
-      stalled_rounds = 0;
-    } else {
-      ++stalled_rounds;
-    }
-    if (profit_after > best_profit) {
-      best_profit = profit_after;
-      best = state.checkpoint(profit_after);
-    }
-    // Dips can precede a recovering round; stop only after two rounds
-    // without a new best.
-    return stalled_rounds >= 2;
-  }
-};
-
 /// Debug-mode audit of an agent's self-reported profit_delta against the
 /// delta the merge actually realized on the manager's ledger. Profit is
 /// separable by cluster (clients and servers belong to exactly one), so
@@ -113,8 +67,8 @@ void debug_cross_check_delta(model::AllocState& state, double before,
 #endif
 }
 
-/// Applies one agent's improvement rows to the engine (shared merge path
-/// of both modes; cluster order = deterministic).
+/// Applies one agent's improvement rows to the engine (called in cluster
+/// order, so the merge is deterministic).
 void merge_improvement(model::AllocState& state,
                        const protocol::ClusterImprovement& improvement,
                        ClusterId k) {
@@ -149,8 +103,8 @@ bool rows_equal(const protocol::ClientPlacements& a,
   return true;
 }
 
-/// Placement rows of the full ledger, dense in client id — the snapshot
-/// both modes rebuild agent copies from.
+/// Placement rows of the full ledger, dense in client id: what the
+/// replicas hold once every delta has reached them.
 std::vector<protocol::ClientPlacements> ledger_rows(const Allocation& ledger) {
   std::vector<protocol::ClientPlacements> rows;
   const Cloud& cloud = ledger.cloud();
@@ -171,86 +125,6 @@ DistributedAllocator::DistributedAllocator(DistributedOptions options)
     : options_(options) {}
 
 DistributedResult DistributedAllocator::run(const Cloud& cloud) const {
-  return options_.mode == DistMode::kSharedMemory
-             ? run_shared_memory(cloud)
-             : run_message_passing(cloud);
-}
-
-// --- shared-memory mode (pool tasks, zero-copy snapshots) ----------------
-
-DistributedResult DistributedAllocator::run_shared_memory(
-    const Cloud& cloud) const {
-  const auto start = Clock::now();
-  const alloc::AllocatorOptions& aopts = options_.alloc;
-  const int K = cloud.num_clusters();
-
-  // Pool-managed agents: the worker count bounds real parallelism even
-  // when K >> cores; with one worker everything runs inline. The shared
-  // pool keeps its workers warm across repeated runs (benches, epochs)
-  // instead of spawning and joining threads per call.
-  const int workers = resolve_workers(aopts.num_threads);
-  ThreadPool* pool = workers > 1 ? &ThreadPool::shared(workers) : nullptr;
-  const ParallelEval eval(pool);
-
-  DistributedReport report;
-
-  // --- multi-start greedy initial solution: the independent starts run as
-  // pool tasks through the same engine as the sequential allocator, so the
-  // two modes commit identical initial solutions.
-  Rng rng(aopts.seed);
-  Allocation initial = alloc::build_initial_solution(cloud, aopts, rng, eval);
-  const double p0 = model::profit(initial);
-  LoopState loop(std::move(initial), p0, start);
-  report.initial_profit = p0;
-
-  // --- improvement rounds: parallel cluster-local stages against a
-  // frozen snapshot + sequential cross-cluster reassignment. The snapshot
-  // is REBUILT from placement rows (not the live ledger) so the agents'
-  // inputs are bitwise what the message-passing mode's replicas rebuild —
-  // the cross-mode parity contract.
-  for (int round = 0; round < aopts.max_local_search_rounds; ++round) {
-    Allocation snapshot =
-        protocol::rebuild_allocation(cloud, ledger_rows(loop.state.ledger()));
-    (void)model::profit(snapshot);  // settle: pure reads from here
-    CHECK(snapshot.profit_settled());
-    std::vector<std::optional<protocol::ClusterImprovement>> improvements(
-        static_cast<std::size_t>(K));
-    eval.for_n(K, [&](int k) {
-      ClusterAgent agent(ClusterId{k}, aopts);
-      improvements[static_cast<std::size_t>(k)] = agent.improve(snapshot);
-    });
-
-    // Merge in cluster order (deterministic at any thread count).
-    for (int k = 0; k < K; ++k) {
-      auto& improvement = improvements[static_cast<std::size_t>(k)];
-      CHECK(improvement.has_value());
-      merge_improvement(loop.state, *improvement, ClusterId{k});
-    }
-    if (aopts.enable_reassign)
-      alloc::reassign_pass_snapshot(loop.state, aopts, eval);
-    loop.state.debug_check_invariants();
-
-    const bool stop =
-        loop.note_round(loop.state.profit(), aopts, report, round);
-    // The epoch deadline: one long round must not start another
-    // (mirrors allocator.cpp's between-passes over_budget checks).
-    if (loop.over_budget(aopts)) {
-      report.truncated = true;
-      break;
-    }
-    if (stop) break;
-  }
-
-  report.final_profit = loop.best_profit;
-  report.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - loop.start).count();
-  return DistributedResult{loop.state.materialize(loop.best), report};
-}
-
-// --- message-passing mode (actor threads over a Transport) ---------------
-
-DistributedResult DistributedAllocator::run_message_passing(
-    const Cloud& cloud) const {
   const auto start = Clock::now();
   const alloc::AllocatorOptions& aopts = options_.alloc;
   const int K = cloud.num_clusters();
@@ -288,8 +162,8 @@ DistributedResult DistributedAllocator::run_message_passing(
 
   // Multi-start greedy initial solution, manager-local (identical to the
   // sequential allocator; the remote-bid deployment of this phase exists
-  // in the protocol — see BidRequest — and is exercised by the protocol
-  // tests and the online layer, not by this batch entry point).
+  // in the protocol — see BidRequest — and only the protocol tests
+  // exercise it).
   const int workers = resolve_workers(aopts.num_threads);
   ThreadPool* pool = workers > 1 ? &ThreadPool::shared(workers) : nullptr;
   {
@@ -299,7 +173,11 @@ DistributedResult DistributedAllocator::run_message_passing(
     const double p0 = model::profit(initial);
     report.initial_profit = p0;
 
-    LoopState loop(std::move(initial), p0, start);
+    // The ledger, the best round's checkpoint and the stall count.
+    model::AllocState state(std::move(initial));
+    model::AllocState::Checkpoint best = state.checkpoint(p0);
+    double best_profit = p0;
+    int stalled_rounds = 0;
 
     // Versioned replication state: one bump per merged change set. The
     // initial solution is version 1; every client it touched is stamped.
@@ -307,9 +185,9 @@ DistributedResult DistributedAllocator::run_message_passing(
     std::vector<std::int64_t> client_version(
         static_cast<std::size_t>(cloud.num_clients()), 0);
     std::vector<protocol::ClientPlacements> shipped_rows =
-        ledger_rows(loop.state.ledger());
+        ledger_rows(state.ledger());
     for (ClientId i : cloud.client_ids())
-      if (loop.state.ledger().is_assigned(i))
+      if (state.ledger().is_assigned(i))
         client_version[static_cast<std::size_t>(i.index())] = 1;
     std::vector<std::int64_t> acked(static_cast<std::size_t>(K), 0);
     std::vector<int> misses(static_cast<std::size_t>(K), 0);
@@ -319,7 +197,7 @@ DistributedResult DistributedAllocator::run_message_passing(
       protocol::StateDelta delta;
       delta.base_version = acked[static_cast<std::size_t>(k)];
       delta.target_version = version;
-      const Allocation& ledger = loop.state.ledger();
+      const Allocation& ledger = state.ledger();
       for (ClientId i : cloud.client_ids()) {
         const auto idx = static_cast<std::size_t>(i.index());
         if (client_version[idx] <= delta.base_version) continue;
@@ -414,7 +292,7 @@ DistributedResult DistributedAllocator::run_message_passing(
       for (int k = 0; k < K; ++k) {
         const auto idx = static_cast<std::size_t>(k);
         if (got[idx].has_value() && got[idx]->applied) {
-          merge_improvement(loop.state, got[idx]->improvement, ClusterId{k});
+          merge_improvement(state, got[idx]->improvement, ClusterId{k});
           acked[idx] = version;  // it reached target and we merged it
           misses[idx] = 0;
           dead[idx] = 0;  // a response revives a presumed-dead agent
@@ -429,9 +307,9 @@ DistributedResult DistributedAllocator::run_message_passing(
       }
       if (aopts.enable_reassign) {
         const ParallelEval reassign_eval(pool);
-        alloc::reassign_pass_snapshot(loop.state, aopts, reassign_eval);
+        alloc::reassign_pass_snapshot(state, aopts, reassign_eval);
       }
-      loop.state.debug_check_invariants();
+      state.debug_check_invariants();
 
       // One version bump per round; stamp exactly the clients whose rows
       // the merge or the reassign pass rewrote (bitwise row diff against
@@ -440,7 +318,7 @@ DistributedResult DistributedAllocator::run_message_passing(
       ++version;
       {
         std::vector<protocol::ClientPlacements> now =
-            ledger_rows(loop.state.ledger());
+            ledger_rows(state.ledger());
         for (ClientId i : cloud.client_ids()) {
           const auto idx = static_cast<std::size_t>(i.index());
           if (!rows_equal(now[idx], shipped_rows[idx])) {
@@ -450,15 +328,30 @@ DistributedResult DistributedAllocator::run_message_passing(
         }
       }
 
-      const bool stop =
-          loop.note_round(loop.state.profit(), aopts, report, round);
+      const double profit_after = state.profit();
+      report.round_profits.push_back(profit_after);
+      report.rounds_run = round + 1;
+      const double significant =
+          aopts.steady_tolerance * std::max(std::fabs(best_profit), 1.0);
+      if (profit_after > best_profit + significant) {
+        stalled_rounds = 0;
+      } else {
+        ++stalled_rounds;
+      }
+      if (profit_after > best_profit) {
+        best_profit = profit_after;
+        best = state.checkpoint(profit_after);
+      }
       // The epoch deadline is checked between rounds, exactly like the
       // sequential allocator checks between passes (allocator.cpp).
-      if (loop.over_budget(aopts)) {
+      if (aopts.time_budget_ms > 0.0 &&
+          ms_since(start) >= aopts.time_budget_ms) {
         report.truncated = true;
         break;
       }
-      if (stop) break;
+      // Dips can precede a recovering round; stop only after two rounds
+      // without a new best.
+      if (stalled_rounds >= 2) break;
     }
 
     // Polite shutdown (the Shutdown guard above also closes channels for
@@ -468,13 +361,13 @@ DistributedResult DistributedAllocator::run_message_passing(
       (void)transport->send_to_agent(
           k, codec::encode(protocol::AgentMessage{protocol::Shutdown{epoch}}));
 
-    report.final_profit = loop.best_profit;
+    report.final_profit = best_profit;
     const TransportStats stats = transport->stats();
     report.messages = stats.messages;
     report.bytes = stats.bytes;
     report.wall_seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
-    return DistributedResult{loop.state.materialize(loop.best), report};
+    return DistributedResult{state.materialize(best), report};
   }
 }
 

@@ -1,31 +1,20 @@
-// The central manager: the distributed counterpart of ResourceAllocator.
+// The central manager: the distributed counterpart of ResourceAllocator,
+// and the paper's architecture made real. One dedicated thread per
+// cluster runs an AgentActor servicing typed, serialized messages
+// (dist/protocol.h) over a Transport; the manager broadcasts versioned
+// state deltas, collects ImproveResponses under a per-round timeout
+// (Mailbox::receive_for underneath), and merges them idempotently keyed on
+// (epoch, round, cluster). No Allocation pointer crosses a channel —
+// snapshots travel as encoded deltas, and each agent rebuilds its private
+// copy from its replica. Faults (drops, delays, duplicates, reordering,
+// agent crashes — see FaultPlan) cost coverage for a round, never
+// correctness: a missing agent is skipped and retried via a rebased
+// delta, stale/duplicated responses are discarded by sequence number, and
+// the best-round checkpoint guarantees the returned allocation never
+// falls below the best completed round.
 //
-// Two deployment modes share one improvement-loop skeleton:
-//
-//   kMessagePassing (default) — the paper's architecture made real. One
-//   dedicated thread per cluster runs an AgentActor servicing typed,
-//   serialized messages (dist/protocol.h) over a Transport; the manager
-//   broadcasts versioned state deltas, collects ImproveResponses under a
-//   per-round timeout (Mailbox::receive_for underneath), and merges them
-//   idempotently keyed on (epoch, round, cluster). No Allocation pointer
-//   crosses a channel — snapshots travel as encoded deltas, and each
-//   agent rebuilds its private copy from its replica. Faults (drops,
-//   delays, duplicates, reordering, agent crashes — see FaultPlan) cost
-//   coverage for a round, never correctness: a missing agent is skipped
-//   and retried via a rebased delta, stale/duplicated responses are
-//   discarded by sequence number, and the best-round checkpoint
-//   guarantees the returned allocation never falls below the best
-//   completed round.
-//
-//   kSharedMemory — the original pool-managed mode: agents run as tasks
-//   over a frozen snapshot rebuilt from the same placement rows the
-//   message mode would serialize. Kept as the zero-copy fast path and as
-//   the parity oracle: with a fault-free transport the two modes are
-//   bit-identical (pinned by tests at 1/4/8 threads).
-//
-// Determinism: every fan-out writes results into per-agent slots and
-// every merge walks those slots in cluster order, so given equal
-// options/seed (and fault plan) the run is a pure function of
+// Determinism: every merge walks the responses in cluster order, so given
+// equal options/seed (and fault plan) the run is a pure function of
 // (cloud, options) at any thread count.
 //
 // The epoch deadline (options.alloc.time_budget_ms) is honored between
@@ -45,9 +34,9 @@
 
 namespace cloudalloc::dist {
 
+/// The one deployment: the serialized protocol over a Transport.
 enum class DistMode {
-  kMessagePassing,  ///< serialized protocol over a Transport (default)
-  kSharedMemory,    ///< in-process pool tasks, zero-copy snapshots
+  kMessagePassing,
 };
 
 struct DistributedOptions {
@@ -60,10 +49,11 @@ struct DistributedOptions {
       : alloc(std::move(alloc_options)) {}
 
   alloc::AllocatorOptions alloc;
+  /// Has one value and changes nothing; it stays only because the
+  /// benchmark's dist_solve workload (allocbench/workloads.cpp) assigns it.
   DistMode mode = DistMode::kMessagePassing;
-  /// Fault injection for kMessagePassing (ignored by kSharedMemory).
-  /// Any non-zero probability wraps the channel transport in a seeded
-  /// FaultyTransport.
+  /// Fault injection. Any non-zero probability wraps the channel
+  /// transport in a seeded FaultyTransport.
   FaultPlan faults;
 };
 
@@ -84,10 +74,9 @@ struct DistributedReport {
   bool truncated = false;
   /// Real messages sent over the transport (TransportStats::messages —
   /// the mailboxes' messages_sent() is the single source of truth; there
-  /// is no modeled estimate). Zero in kSharedMemory mode, where nothing
-  /// crosses a channel.
+  /// is no modeled estimate).
   std::size_t messages = 0;
-  /// Serialized payload bytes over the transport (0 in kSharedMemory).
+  /// Serialized payload bytes over the transport.
   std::size_t bytes = 0;
   /// Round-responses that never arrived (timeouts: dropped requests or
   /// responses, crashed or presumed-dead agents).
@@ -113,9 +102,6 @@ class DistributedAllocator {
   DistributedResult run(const model::Cloud& cloud) const;
 
  private:
-  DistributedResult run_shared_memory(const model::Cloud& cloud) const;
-  DistributedResult run_message_passing(const model::Cloud& cloud) const;
-
   DistributedOptions options_;
 };
 

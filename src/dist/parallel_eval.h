@@ -1,6 +1,6 @@
 // ParallelEval: the one entry point of every parallel fan-out (multi-start
-// greedy, sharded block pricing, snapshot reassign, the shared-memory agent
-// round, simulator replications). It runs deterministic index/chunk
+// greedy, sharded block pricing, snapshot reassign, simulator
+// replications). It runs deterministic index/chunk
 // fan-outs either inline (no pool, the default) or on a dist::ThreadPool,
 // with the invariant that the work decomposition depends only on the
 // problem size — never on the worker count — so any reduction over

@@ -117,9 +117,9 @@ using AgentMessage = std::variant<BidRequest, ImproveRequest, Shutdown>;
 using ManagerMessage = std::variant<BidResponse, ImproveResponse>;
 
 /// Rebuilds a full Allocation from placement rows (sorted by client id;
-/// unassigned rows skipped). Both deployment modes build agent snapshots
-/// through this one function so their assign sequences — and therefore
-/// the resulting caches, bit for bit — are identical.
+/// unassigned rows skipped). Every agent snapshot is built through this
+/// one function, so equal rows give equal assign sequences — and
+/// therefore equal caches, bit for bit.
 model::Allocation rebuild_allocation(const model::Cloud& cloud,
                                      const std::vector<ClientPlacements>& rows);
 

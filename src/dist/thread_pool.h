@@ -1,7 +1,6 @@
-// Fan-out pool used to emulate the paper's parallel cluster agents on one
-// machine and to run the parallel evaluation fan-outs (multi-start greedy,
-// sharded block pricing, snapshot reassign, the shared-memory agent round
-// and simulator replications).
+// Fan-out pool that runs the parallel evaluation fan-outs (multi-start
+// greedy, sharded block pricing, snapshot reassign and simulator
+// replications).
 //
 // Execution model: each fan-out is a Batch on the caller's stack holding a
 // task count, one atomic next-index counter and one exception slot per

@@ -28,7 +28,7 @@ std::optional<Cloud> cloud_from_json(const Json& doc,
 
 /// One placement slice -> JSON ({server, psi, phi_p, phi_n}). Doubles are
 /// emitted round-trip exactly (%.17g), so encode/decode is bitwise
-/// lossless — the dist wire codec relies on this for cross-mode parity.
+/// lossless — the dist wire codec relies on this for bit-identical runs.
 Json placement_to_json(const Placement& p);
 
 /// JSON -> Placement. Structural validation only (fields present and

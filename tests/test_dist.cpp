@@ -1,18 +1,25 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "alloc/allocator.h"
 #include "alloc/initial.h"
+#include "alloc/reassign.h"
 #include "common/rng.h"
 #include "dist/cluster_agent.h"
 #include "dist/manager.h"
+#include "dist/parallel_eval.h"
+#include "dist/protocol.h"
 #include "dist/thread_pool.h"
+#include "model/alloc_state.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
 #include "workload/scenario.h"
@@ -171,19 +178,86 @@ void expect_identical_allocations(const model::Allocation& a,
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t s = 0; s < pa.size(); ++s) {
       EXPECT_EQ(pa[s].server, pb[s].server);
-      EXPECT_DOUBLE_EQ(pa[s].psi, pb[s].psi);
-      EXPECT_DOUBLE_EQ(pa[s].phi_p, pb[s].phi_p);
-      EXPECT_DOUBLE_EQ(pa[s].phi_n, pb[s].phi_n);
+      EXPECT_EQ(pa[s].psi, pb[s].psi);
+      EXPECT_EQ(pa[s].phi_p, pb[s].phi_p);
+      EXPECT_EQ(pa[s].phi_n, pb[s].phi_n);
     }
   }
 }
 
-// Acceptance gate of the protocol rewrite: with a fault-free transport,
-// the serialized message-passing deployment must be BIT-identical to the
-// shared-memory deployment — same profits, same rounds, same placements —
-// at every thread count. Everything that crosses the wire (doubles
-// included) round-trips exactly, and both modes rebuild agent snapshots
-// through protocol::rebuild_allocation.
+/// The manager's rounds without messages, in one address space: each
+/// round rebuilds the snapshot from the ledger's placement rows and
+/// settles it, runs every cluster's agent on it, merges the improvements
+/// in cluster order, runs the snapshot reassign pass and keeps the best
+/// round. DistributedAllocator::run must reproduce it bit for bit over a
+/// fault-free transport.
+DistributedResult in_memory_rounds(const model::Cloud& cloud,
+                                   const alloc::AllocatorOptions& opts) {
+  const int K = cloud.num_clusters();
+  const int workers = resolve_workers(opts.num_threads);
+  const ParallelEval eval(workers > 1 ? &ThreadPool::shared(workers)
+                                      : nullptr);
+  Rng rng(opts.seed);
+  model::Allocation initial =
+      alloc::build_initial_solution(cloud, opts, rng, eval);
+  DistributedReport report;
+  report.initial_profit = model::profit(initial);
+  model::AllocState state(std::move(initial));
+  double best_profit = report.initial_profit;
+  model::AllocState::Checkpoint best = state.checkpoint(best_profit);
+  int stalled_rounds = 0;
+  for (int round = 0; round < opts.max_local_search_rounds; ++round) {
+    std::vector<protocol::ClientPlacements> rows(
+        static_cast<std::size_t>(cloud.num_clients()));
+    for (model::ClientId i : cloud.client_ids()) {
+      protocol::ClientPlacements& row =
+          rows[static_cast<std::size_t>(i.index())];
+      row.client = i;
+      if (!state.ledger().is_assigned(i)) continue;
+      row.cluster = state.ledger().cluster_of(i);
+      row.placements = state.ledger().placements(i);
+    }
+    model::Allocation snapshot = protocol::rebuild_allocation(cloud, rows);
+    (void)model::profit(snapshot);  // settle before the agents read it
+    std::vector<protocol::ClusterImprovement> improvements(
+        static_cast<std::size_t>(K));
+    eval.for_n(K, [&](int k) {
+      improvements[static_cast<std::size_t>(k)] =
+          ClusterAgent(model::ClusterId{k}, opts).improve(snapshot);
+    });
+    for (int k = 0; k < K; ++k)
+      for (const protocol::ClientPlacements& row :
+           improvements[static_cast<std::size_t>(k)].placements) {
+        if (row.cluster == model::kNoCluster || row.placements.empty())
+          state.clear(row.client);
+        else
+          state.assign(row.client, model::ClusterId{k}, row.placements);
+      }
+    if (opts.enable_reassign) alloc::reassign_pass_snapshot(state, opts, eval);
+
+    const double profit = state.profit();
+    report.round_profits.push_back(profit);
+    report.rounds_run = round + 1;
+    if (profit > best_profit + opts.steady_tolerance *
+                                   std::max(std::fabs(best_profit), 1.0))
+      stalled_rounds = 0;
+    else
+      ++stalled_rounds;
+    if (profit > best_profit) {
+      best_profit = profit;
+      best = state.checkpoint(profit);
+    }
+    if (stalled_rounds >= 2) break;
+  }
+  report.final_profit = best_profit;
+  return DistributedResult{state.materialize(best), report};
+}
+
+// With a fault-free transport, the serialized message-passing deployment
+// must be BIT-identical to the same rounds run in memory — same profits,
+// same rounds, same placements — at every thread count. Everything that
+// crosses the wire (doubles included) round-trips exactly, and both build
+// agent snapshots through protocol::rebuild_allocation.
 TEST(DistributedAllocator, MessagePassingBitIdenticalToSharedMemory) {
   workload::ScenarioParams params;
   params.num_clients = 24;
@@ -195,27 +269,22 @@ TEST(DistributedAllocator, MessagePassingBitIdenticalToSharedMemory) {
     opts.max_local_search_rounds = 4;
     opts.num_threads = threads;
 
-    DistributedOptions shared_opts{opts};
-    shared_opts.mode = DistMode::kSharedMemory;
-    DistributedOptions message_opts{opts};
-    message_opts.mode = DistMode::kMessagePassing;
+    const auto in_memory = in_memory_rounds(cloud, opts);
+    const auto message =
+        DistributedAllocator(DistributedOptions{opts}).run(cloud);
 
-    const auto shared = DistributedAllocator(shared_opts).run(cloud);
-    const auto message = DistributedAllocator(message_opts).run(cloud);
-
-    EXPECT_DOUBLE_EQ(shared.report.initial_profit,
-                     message.report.initial_profit)
+    EXPECT_EQ(in_memory.report.initial_profit, message.report.initial_profit)
         << "threads " << threads;
-    EXPECT_DOUBLE_EQ(shared.report.final_profit, message.report.final_profit)
+    EXPECT_EQ(in_memory.report.final_profit, message.report.final_profit)
         << "threads " << threads;
-    ASSERT_EQ(shared.report.round_profits.size(),
+    ASSERT_EQ(in_memory.report.round_profits.size(),
               message.report.round_profits.size())
         << "threads " << threads;
-    for (std::size_t r = 0; r < shared.report.round_profits.size(); ++r)
-      EXPECT_DOUBLE_EQ(shared.report.round_profits[r],
-                       message.report.round_profits[r])
+    for (std::size_t r = 0; r < in_memory.report.round_profits.size(); ++r)
+      EXPECT_EQ(in_memory.report.round_profits[r],
+                message.report.round_profits[r])
           << "threads " << threads << " round " << r;
-    expect_identical_allocations(shared.allocation, message.allocation);
+    expect_identical_allocations(in_memory.allocation, message.allocation);
   }
 }
 
@@ -229,25 +298,19 @@ TEST(DistributedAllocator, TimeBudgetTruncatesAfterRoundOne) {
   params.num_clients = 20;
   params.servers_per_cluster = 5;
   const auto cloud = workload::make_scenario(params, 91);
-  for (const DistMode mode :
-       {DistMode::kMessagePassing, DistMode::kSharedMemory}) {
-    alloc::AllocatorOptions opts;
-    opts.seed = 6;
-    opts.max_local_search_rounds = 12;
-    opts.time_budget_ms = 1e-3;  // expires during round 1
-    DistributedOptions dopts{opts};
-    dopts.mode = mode;
-    const auto result = DistributedAllocator(dopts).run(cloud);
-    EXPECT_TRUE(result.report.truncated);
-    EXPECT_EQ(result.report.rounds_run, 1);
-    // The best checkpoint survives truncation: the returned allocation
-    // realizes final_profit, which is the best seen so far.
-    EXPECT_GE(result.report.final_profit,
-              result.report.initial_profit - 1e-9);
-    EXPECT_NEAR(model::profit(result.allocation), result.report.final_profit,
-                1e-6 * std::max(1.0, std::fabs(result.report.final_profit)));
-    EXPECT_TRUE(model::is_feasible(result.allocation));
-  }
+  alloc::AllocatorOptions opts;
+  opts.seed = 6;
+  opts.max_local_search_rounds = 12;
+  opts.time_budget_ms = 1e-3;  // expires during round 1
+  const auto result = DistributedAllocator(DistributedOptions{opts}).run(cloud);
+  EXPECT_TRUE(result.report.truncated);
+  EXPECT_EQ(result.report.rounds_run, 1);
+  // The best checkpoint survives truncation: the returned allocation
+  // realizes final_profit, which is the best seen so far.
+  EXPECT_GE(result.report.final_profit, result.report.initial_profit - 1e-9);
+  EXPECT_NEAR(model::profit(result.allocation), result.report.final_profit,
+              1e-6 * std::max(1.0, std::fabs(result.report.final_profit)));
+  EXPECT_TRUE(model::is_feasible(result.allocation));
 }
 
 // An untruncated run must not set the flag.
@@ -264,8 +327,7 @@ TEST(DistributedAllocator, NoBudgetMeansNoTruncation) {
 }
 
 // Message accounting is real, not modeled: the transport's channel
-// counters (Mailbox::messages_sent) are the single source of truth. The
-// shared-memory mode sends nothing over a channel and must report zero.
+// counters (Mailbox::messages_sent) are the single source of truth.
 TEST(DistributedAllocator, MessageAndByteCountsComeFromTheTransport) {
   workload::ScenarioParams params;
   params.num_clients = 15;
@@ -275,8 +337,8 @@ TEST(DistributedAllocator, MessageAndByteCountsComeFromTheTransport) {
   opts.seed = 12;
   opts.max_local_search_rounds = 2;
 
-  DistributedOptions message_opts{opts};
-  const auto message = DistributedAllocator(message_opts).run(cloud);
+  const auto message =
+      DistributedAllocator(DistributedOptions{opts}).run(cloud);
   // Per completed round: K requests + K responses, plus K shutdowns.
   const auto K = static_cast<std::size_t>(cloud.num_clusters());
   const auto rounds = static_cast<std::size_t>(message.report.rounds_run);
@@ -284,12 +346,6 @@ TEST(DistributedAllocator, MessageAndByteCountsComeFromTheTransport) {
   EXPECT_GT(message.report.bytes, 0u);
   EXPECT_EQ(message.report.responses_missed, 0);
   EXPECT_EQ(message.report.stale_messages, 0u);
-
-  DistributedOptions shared_opts{opts};
-  shared_opts.mode = DistMode::kSharedMemory;
-  const auto shared = DistributedAllocator(shared_opts).run(cloud);
-  EXPECT_EQ(shared.report.messages, 0u);
-  EXPECT_EQ(shared.report.bytes, 0u);
 }
 
 }  // namespace

@@ -74,7 +74,6 @@ DistributedOptions sweep_options(std::uint64_t seed, const FaultPlan& plan) {
   opts.max_local_search_rounds = 3;
   opts.dist_round_timeout_ms = 600.0;
   DistributedOptions dopts{opts};
-  dopts.mode = DistMode::kMessagePassing;
   dopts.faults = plan;
   return dopts;
 }
