@@ -1,7 +1,9 @@
 #include "alloc/reassign.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -9,7 +11,6 @@
 #include "alloc/assign_distribute.h"
 #include "alloc/delta_price.h"
 #include "alloc/move_engine.h"
-#include "alloc/scratch.h"
 #include "common/check.h"
 #include "common/mathutil.h"
 #include "common/prof.h"
@@ -66,6 +67,19 @@ std::vector<ClientId> worst_served_first(const Allocation& ledger,
   return order;
 }
 
+/// A pricing thread's private copy of one snapshot pass's frozen view.
+/// `stamp` names the pass it copies; 0 marks it stale.
+struct ViewCopy {
+  std::optional<ResidualView> view;
+  std::uint64_t stamp = 0;
+};
+
+/// A fresh stamp per snapshot pass, never 0.
+std::uint64_t next_pass_stamp() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 }  // namespace
 
 double reassign_pass(AllocState& state, const AllocatorOptions& opts) {
@@ -102,27 +116,35 @@ double reassign_pass_snapshot(AllocState& state, const AllocatorOptions& opts,
       worst_served_first(ledger, /*stable=*/true);
 
   // Phase 1: price every client's best move against a frozen SoA snapshot
-  // of the settled engine state. Each chunk leases a pooled scratch view —
-  // refreshed at most once per worker per pass instead of copied per
-  // chunk, which was the dominant allocation traffic at 100k clients — and
-  // probes each client by vacate/probe/restore; restore is bitwise-exact,
-  // so a recycled scratch is indistinguishable from a fresh copy and every
-  // plan depends only on the snapshot — not on chunk boundaries or
-  // scheduling. Chunk size is fixed (never derived from the worker count)
-  // for the same reason. The settled ledger itself is only read
+  // of the settled engine state. Each chunk probes each client by
+  // vacate/probe/restore on its thread's private copy of the view, which
+  // is copied at most once per thread per pass (a copy per chunk was the
+  // dominant allocation traffic at 100k clients). Restore is
+  // bitwise-exact, so a reused copy is indistinguishable from a fresh one
+  // and every plan depends only on the snapshot — not on chunk boundaries
+  // or scheduling. Chunk size is fixed (never derived from the worker
+  // count) for the same reason. The settled ledger itself is only read
   // (placements), which the frozen-snapshot contract allows.
   double profit_now = state.profit();  // settle: reads become pure
   CHECK(ledger.profit_settled());
   const ResidualView& base = state.view();
-  const std::uint64_t stamp = ViewScratchPool::next_stamp();
+  const std::uint64_t stamp = next_pass_stamp();
   constexpr int kChunk = 16;
   std::vector<std::optional<InsertionPlan>> plans(static_cast<std::size_t>(n));
   {
     PROF_ZONE("reassign.price");
     eval.for_chunks(n, kChunk, [&](int begin, int end) {
-      ViewScratchPool::Lease lease =
-          ViewScratchPool::instance().acquire(base, stamp);
-      ResidualView& scratch = lease.view();
+      thread_local ViewCopy copy;
+      if (copy.stamp != stamp) {
+        if (copy.view)
+          *copy.view = base;  // keeps the vectors' capacity
+        else
+          copy.view.emplace(base);
+      }
+      // Stale while the chunk runs: a throw between remove_client and
+      // restore must not leave a half-restored copy for the next chunk.
+      copy.stamp = 0;
+      ResidualView& scratch = *copy.view;
       ResidualView::Undo undo;
       for (int idx = begin; idx < end; ++idx) {
         const ClientId i = order[static_cast<std::size_t>(idx)];
@@ -137,6 +159,7 @@ double reassign_pass_snapshot(AllocState& state, const AllocatorOptions& opts,
               best_insertion(scratch, i, opts);
         }
       }
+      copy.stamp = stamp;
     });
   }
 

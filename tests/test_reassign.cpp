@@ -1,5 +1,7 @@
 #include "alloc/reassign.h"
 
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "alloc/initial.h"
@@ -111,6 +113,48 @@ TEST(ReassignSnapshot, IdenticalInlineAndPooled) {
       EXPECT_EQ(pa[s].server, pb[s].server);
       EXPECT_DOUBLE_EQ(pa[s].psi, pb[s].psi);
       EXPECT_DOUBLE_EQ(pa[s].phi_p, pb[s].phi_p);
+    }
+  }
+}
+
+// Each pricing thread prices on its own copy of the pass's frozen view and
+// refreshes it when a new pass starts. A pass run right after a pass over
+// another allocation of the same cloud (so the stale copy has the right
+// size and only wrong values) must equal, bit for bit, the same pass run
+// on a thread that never priced before.
+TEST(ReassignSnapshot, ScratchRefreshesBetweenPasses) {
+  workload::ScenarioParams params;
+  params.num_clients = 35;
+  params.servers_per_cluster = 6;
+  const auto cloud = workload::make_scenario(params, 43);
+  AllocatorOptions opts;
+  std::vector<model::ClusterId> all_zero(35, model::ClusterId{0});
+  AllocState first(build_from_assignment(cloud, all_zero, opts));
+  Rng rng(43);
+  const Allocation start = build_initial_solution(cloud, opts, rng);
+  AllocState second(start.clone());
+  AllocState fresh(start.clone());
+
+  reassign_pass_snapshot(first, opts);  // leaves this thread a copy
+  const double delta = reassign_pass_snapshot(second, opts);
+  double fresh_delta = 0.0;
+  std::thread([&] { fresh_delta = reassign_pass_snapshot(fresh, opts); })
+      .join();
+
+  EXPECT_EQ(delta, fresh_delta);
+  EXPECT_EQ(second.profit(), fresh.profit());
+  for (model::ClientId i : cloud.client_ids()) {
+    ASSERT_EQ(second.ledger().is_assigned(i), fresh.ledger().is_assigned(i));
+    if (!second.ledger().is_assigned(i)) continue;
+    EXPECT_EQ(second.ledger().cluster_of(i), fresh.ledger().cluster_of(i));
+    const auto& pa = second.ledger().placements(i);
+    const auto& pb = fresh.ledger().placements(i);
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t s = 0; s < pa.size(); ++s) {
+      EXPECT_EQ(pa[s].server, pb[s].server);
+      EXPECT_EQ(pa[s].psi, pb[s].psi);
+      EXPECT_EQ(pa[s].phi_p, pb[s].phi_p);
+      EXPECT_EQ(pa[s].phi_n, pb[s].phi_n);
     }
   }
 }
