@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <thread>
 
-#include "common/arena.h"
 #include "common/sync.h"
 
 namespace cloudalloc::prof {
@@ -36,11 +36,10 @@ struct Accum {
 }  // namespace
 
 struct ThreadLog {
-  common::Arena arena;
-  Event* ring = nullptr;     ///< arena page(s); allocated on first event
-  std::size_t head = 0;      ///< next write slot
-  std::size_t filled = 0;    ///< min(#events recorded, kEventCap)
-  std::uint64_t dropped = 0; ///< events overwritten after the ring wrapped
+  std::unique_ptr<Event[]> ring;  ///< allocated on first event
+  std::size_t head = 0;           ///< next write slot
+  std::size_t filled = 0;         ///< min(#events recorded, kEventCap)
+  std::uint64_t dropped = 0;      ///< events overwritten after the ring wrapped
   /// Name-keyed accumulators. Names are literal pointers and a process
   /// has a few dozen zones, so a linear scan beats any map.
   std::vector<Accum> accums;
@@ -64,25 +63,22 @@ sync::Mutex g_registry_mutex;
 /// hold g_registry_mutex, which clang -Wthread-safety enforces even
 /// though the vector itself is a function-local static (GUARDED_BY is
 /// not grammatical there).
-std::vector<ThreadLog*>& registry() REQUIRES(g_registry_mutex) {
-  static std::vector<ThreadLog*> logs;
+std::vector<std::unique_ptr<ThreadLog>>& registry()
+    REQUIRES(g_registry_mutex) {
+  // Never destroyed (see the header): pool workers outlive solves and may
+  // record until the process ends, and the aggregate must keep seeing a
+  // thread's rows after it exits, so no static destructor frees a log.
+  // analyze: allow(naked-new) -- process-lifetime registry, never destroyed
+  static auto& logs = *new std::vector<std::unique_ptr<ThreadLog>>;
   return logs;
 }
 
 ThreadLog* make_thread_log() {
-  // Never freed (see the header): workers outlive solves, and the
-  // aggregate must keep seeing rows after a thread exits. The arena itself
-  // lives for the whole process too: a static one would free the logs'
-  // pages at exit and leave their rings and accumulators unreachable.
-  // analyze: allow(naked-new) -- process-lifetime arena, never destroyed
-  static common::Arena& g_log_arena = *new common::Arena;
   sync::MutexLock lock(g_registry_mutex);
-  auto* log = static_cast<ThreadLog*>(
-      g_log_arena.allocate(sizeof(ThreadLog), alignof(ThreadLog)));
-  ::new (static_cast<void*>(log)) ThreadLog();
+  auto log = std::make_unique<ThreadLog>();
   log->tid = static_cast<std::uint64_t>(registry().size() + 1);
-  registry().push_back(log);
-  return log;
+  registry().push_back(std::move(log));
+  return registry().back().get();
 }
 
 }  // namespace
@@ -100,8 +96,7 @@ std::int64_t now_ns() {
 
 void record(ThreadLog* log, const char* name, std::int64_t t0,
             std::int64_t t1) {
-  if (log->ring == nullptr)
-    log->ring = log->arena.make_array<Event>(kEventCap);
+  if (log->ring == nullptr) log->ring = std::make_unique<Event[]>(kEventCap);
   if (log->filled == kEventCap) ++log->dropped;
   log->ring[log->head] = Event{name, t0, t1};
   log->head = (log->head + 1) % kEventCap;
@@ -134,14 +129,14 @@ void set_enabled(bool on) {
 
 void reset() {
   sync::MutexLock lock(internal::g_registry_mutex);
-  for (internal::ThreadLog* log : internal::registry()) log->clear();
+  for (const auto& log : internal::registry()) log->clear();
 }
 
 std::vector<PhaseRow> aggregate() {
   std::vector<PhaseRow> rows;
   {
     sync::MutexLock lock(internal::g_registry_mutex);
-    for (const internal::ThreadLog* log : internal::registry()) {
+    for (const auto& log : internal::registry()) {
       for (const internal::Accum& a : log->accums) {
         PhaseRow* row = nullptr;
         for (PhaseRow& r : rows)
@@ -190,7 +185,7 @@ bool dump_chrome_trace(const std::string& path) {
   bool first = true;
   {
     sync::MutexLock lock(internal::g_registry_mutex);
-    for (const internal::ThreadLog* log : internal::registry()) {
+    for (const auto& log : internal::registry()) {
       const std::size_t n = log->filled;
       const std::size_t start =
           (log->head + internal::kEventCap - n) % internal::kEventCap;

@@ -6,8 +6,8 @@
 //   1. Near-zero cost when disabled: a zone is one relaxed atomic load
 //      and a branch; no clock read, no TLS write.
 //   2. No locks on the record path: each thread appends to its own
-//      arena-backed event pages; the only lock is the registry mutex,
-//      taken once per thread lifetime and by the (cold) readers.
+//      event ring; the only lock is the registry mutex, taken once per
+//      thread lifetime and by the (cold) readers.
 //   3. Bounded memory: per-thread storage is a ring — once a thread has
 //      kEventCap events, new events overwrite the oldest. Aggregation is
 //      incremental (per-name accumulators updated at zone exit), so the
@@ -24,9 +24,9 @@
 //
 // Threads register lazily on their first zone and are never unregistered:
 // pool workers outlive solves, and exit-time aggregation must still see
-// their rows. The logs, and the arena that holds them, are never freed:
-// they stay reachable until the process ends, so a leak checker at exit
-// reports nothing.
+// their rows. The logs, and the registry that holds them, are never
+// freed: they stay reachable until the process ends, so a leak checker at
+// exit reports nothing.
 #pragma once
 
 #include <atomic>

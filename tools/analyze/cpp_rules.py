@@ -24,7 +24,6 @@ from tools.analyze.rules import Finding, SourceFile, register
 # Files allowed to allocate directly: the pool implementations.
 POOL_FILES = {
     "src/sim/request_pool.h",
-    "src/common/arena.h",
 }
 
 # std::function is banned here: the simulator core and the allocator's
