@@ -24,6 +24,8 @@
 // Flags: --clients=1000,10000,100000  --threads=1,8  --shards=8
 //        --fanout=4  --rounds=1 (local-search rounds; 0 = greedy only)
 //        --prof=0  --out=BENCH_alloc_scale.json
+// Any other flag (--help included) is an error: the bench exits 1 before
+// it solves or writes anything.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -79,6 +81,11 @@ Json phase_table_json() {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  if (const auto flag = args.unknown_flag(
+          {"clients", "threads", "shards", "fanout", "rounds", "prof", "out"})) {
+    std::cerr << "error: unknown flag --" << *flag << "\n";
+    return 1;
+  }
   const std::vector<int> client_counts =
       parse_int_list(args.get("clients", "1000,10000,100000"));
   const std::vector<int> thread_counts =

@@ -1,5 +1,6 @@
 #include "common/args.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <sstream>
@@ -89,6 +90,14 @@ std::optional<T> read_in(const std::map<std::string, std::string>& values,
 }
 
 }  // namespace
+
+std::optional<std::string> Args::unknown_flag(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : values_)
+    if (std::find(known.begin(), known.end(), name) == known.end())
+      return name;
+  return std::nullopt;
+}
 
 std::optional<std::int64_t> Args::get_int_in(const std::string& name,
                                              std::int64_t fallback,

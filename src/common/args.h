@@ -1,14 +1,17 @@
 // Minimal command-line flag parsing for examples and benchmark binaries.
 //
 // Syntax: --name=value or --name value; bare --flag sets a boolean true.
-// Unknown flags are collected so callers can reject or ignore them (the
-// google-benchmark binaries forward unrecognized flags to the framework).
+// Every flag is kept, so callers can reject unknown ones (unknown_flag) or
+// ignore them (the google-benchmark binaries forward unrecognized flags to
+// the framework).
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cloudalloc {
@@ -38,6 +41,11 @@ class Args {
   std::optional<double> get_double_in(const std::string& name,
                                       double fallback, double lo, double hi,
                                       std::string* error = nullptr) const;
+
+  /// The first flag, in name order, that `known` does not list; nullopt
+  /// when every flag is known.
+  std::optional<std::string> unknown_flag(
+      std::initializer_list<std::string_view> known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

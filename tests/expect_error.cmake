@@ -1,7 +1,13 @@
 # Runs TOOL with the comma-separated ARGS and passes iff it exits with
 # status 1 and prints a line starting with EXPECT (a regex) to stderr.
-# Usage: cmake -DTOOL=<exe> -DARGS=a,b -DEXPECT=<regex> -P expect_error.cmake
+# With -DABSENT=<file>, the file is removed first and must not exist after
+# the run.
+# Usage: cmake -DTOOL=<exe> -DARGS=a,b -DEXPECT=<regex> [-DABSENT=<file>]
+#              -P expect_error.cmake
 string(REPLACE "," ";" tool_args "${ARGS}")
+if(DEFINED ABSENT)
+  file(REMOVE "${ABSENT}")
+endif()
 execute_process(COMMAND "${TOOL}" ${tool_args}
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out
@@ -11,4 +17,7 @@ if(NOT status STREQUAL "1")
 endif()
 if(NOT err MATCHES "(^|\n)${EXPECT}")
   message(FATAL_ERROR "stderr lacks '${EXPECT}':\n${err}")
+endif()
+if(DEFINED ABSENT AND EXISTS "${ABSENT}")
+  message(FATAL_ERROR "the run wrote ${ABSENT}")
 endif()

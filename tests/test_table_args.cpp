@@ -142,5 +142,19 @@ TEST(Args, StrictDoubleReadRejectsNanAndOutOfRangeValues) {
   EXPECT_FALSE(args.get_double_in("tail", 0.4, 0.0, 0.99));
 }
 
+TEST(Args, UnknownFlagNamesTheFirstFlagOutsideTheList) {
+  const char* argv[] = {"prog", "--threads=2", "--zeta", "--help", "pos",
+                        "--", "--after"};
+  Args args(7, argv);
+  EXPECT_EQ(args.unknown_flag({"threads", "zeta", "help"}), std::nullopt);
+  EXPECT_EQ(args.unknown_flag({"threads", "zeta"}), "help");
+  EXPECT_EQ(args.unknown_flag({"threads"}), "help");  // name order
+  EXPECT_EQ(args.unknown_flag({}), "help");
+  EXPECT_EQ(args.unknown_flag({"help", "zeta"}), "threads");
+  // Positional words and everything after "--" are not flags.
+  const char* bare[] = {"prog", "pos", "--", "--after"};
+  EXPECT_EQ(Args(4, bare).unknown_flag({}), std::nullopt);
+}
+
 }  // namespace
 }  // namespace cloudalloc
