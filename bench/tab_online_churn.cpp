@@ -92,6 +92,12 @@ Json to_json(const RunSummary& s) {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  if (const auto flag = args.unknown_flag(
+          {"clients", "epochs", "initial", "seed", "thresholds", "migration",
+           "repair", "warm_migration", "out"})) {
+    std::cerr << "error: unknown flag --" << *flag << "\n";
+    return 1;
+  }
   const int clients = static_cast<int>(args.get_int("clients", 60));
   const int epochs = static_cast<int>(args.get_int("epochs", 12));
   const int initial =

@@ -49,23 +49,19 @@ AllocatorResult ResourceAllocator::run(const model::Cloud& cloud) const {
     return build_initial_solution(cloud, options_, rng, eval);
   }();
   model::AllocState state(std::move(initial));
-  AllocatorReport report = improve_state_impl(state, state.profit());
+  AllocatorReport report = improve_state(state);
   return AllocatorResult{std::move(state).release(), std::move(report)};
 }
 
 AllocatorResult ResourceAllocator::improve(model::Allocation initial) const {
   model::AllocState state(std::move(initial));
-  AllocatorReport report = improve_state_impl(state, state.profit());
+  AllocatorReport report = improve_state(state);
   return AllocatorResult{std::move(state).release(), std::move(report)};
 }
 
 AllocatorReport ResourceAllocator::improve_state(
     model::AllocState& state) const {
-  return improve_state_impl(state, state.profit());
-}
-
-AllocatorReport ResourceAllocator::improve_state_impl(
-    model::AllocState& state, double initial_profit) const {
+  const double initial_profit = state.profit();
   const auto start = Clock::now();
   dist::ThreadPool* pool = make_pool(options_);
   const dist::ParallelEval eval(pool);

@@ -74,9 +74,6 @@ class ResourceAllocator {
   AllocatorReport improve_state(model::AllocState& state) const;
 
  private:
-  AllocatorReport improve_state_impl(model::AllocState& state,
-                                     double initial_profit) const;
-
   AllocatorOptions options_;
 };
 

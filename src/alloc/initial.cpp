@@ -16,15 +16,13 @@ using model::ClientId;
 using model::Cloud;
 using model::ClusterId;
 
-Allocation greedy_insert(const Allocation& base,
+Allocation greedy_insert(const Cloud& cloud,
                          const std::vector<ClientId>& order,
                          const AllocatorOptions& opts) {
-  // One state copy per greedy start (a documented engine boundary); every
-  // insertion probe below runs against the engine view, and committed
-  // insertions go through the engine so the view tracks the ledger.
-  // analyze: allow(allocation-copy) -- greedy-base boundary: one copy per
-  // greedy start seeds a private engine state (DESIGN.md section 9).
-  model::AllocState state{base.clone()};
+  // Every insertion probe below runs against the engine view, and
+  // committed insertions go through the engine so the view tracks the
+  // ledger.
+  model::AllocState state(cloud);
   for (ClientId i : order) {
     CHECK(!state.ledger().is_assigned(i));
     auto plan = best_insertion(state.view(), i, opts);
@@ -75,15 +73,14 @@ Allocation build_initial_solution(const Cloud& cloud,
     // each pass is.
     for (int iter = 0; iter < starts; ++iter) {
       const auto slot = static_cast<std::size_t>(iter);
-      Allocation cand =
-          sharded_greedy_insert(Allocation(cloud), orders[slot], opts, eval);
+      Allocation cand = sharded_greedy_insert(cloud, orders[slot], opts, eval);
       profits[slot] = model::profit(cand);
       cands[slot] = std::move(cand);
     }
   } else {
     eval.for_n(starts, [&](int iter) {
       const auto slot = static_cast<std::size_t>(iter);
-      Allocation cand = greedy_insert(Allocation(cloud), orders[slot], opts);
+      Allocation cand = greedy_insert(cloud, orders[slot], opts);
       profits[slot] = model::profit(cand);
       cands[slot] = std::move(cand);
     });

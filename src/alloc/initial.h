@@ -16,9 +16,9 @@ namespace cloudalloc::alloc {
 
 /// One greedy pass: clients in `order` are inserted one at a time into the
 /// cluster with the best Assign_Distribute score. Clients that fit nowhere
-/// are left unassigned. Starts from `base` (which carries background load
-/// and possibly earlier epochs' state).
-model::Allocation greedy_insert(const model::Allocation& base,
+/// are left unassigned. Starts from an empty allocation over `cloud`
+/// (whose servers carry any background load).
+model::Allocation greedy_insert(const model::Cloud& cloud,
                                 const std::vector<model::ClientId>& order,
                                 const AllocatorOptions& opts);
 

@@ -28,13 +28,11 @@ constexpr int kBlock = 1024;
 
 }  // namespace
 
-Allocation sharded_greedy_insert(const Allocation& base,
+Allocation sharded_greedy_insert(const model::Cloud& cloud,
                                  const std::vector<ClientId>& order,
                                  const AllocatorOptions& opts,
                                  const dist::ParallelEval& eval) {
-  // analyze: allow(allocation-copy) -- greedy-base boundary: the sharded
-  // solve's settled state starts as one private copy of the base.
-  model::AllocState state{base.clone()};
+  model::AllocState state(cloud);
   MoveEngine mover(state, opts);
   const int shards = std::max(1, opts.num_shards);
   const int n = static_cast<int>(order.size());

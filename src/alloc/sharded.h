@@ -31,10 +31,10 @@
 
 namespace cloudalloc::alloc {
 
-/// One sharded greedy pass over `order` starting from `base` (which
-/// carries background load and possibly earlier epochs' state). Uses
+/// One sharded greedy pass over `order` starting from an empty allocation
+/// over `cloud` (whose servers carry any background load). Uses
 /// max(1, opts.num_shards) shards per block on `eval`.
-model::Allocation sharded_greedy_insert(const model::Allocation& base,
+model::Allocation sharded_greedy_insert(const model::Cloud& cloud,
                                         const std::vector<model::ClientId>& order,
                                         const AllocatorOptions& opts,
                                         const dist::ParallelEval& eval = {});

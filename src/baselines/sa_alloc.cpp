@@ -7,6 +7,7 @@
 #include "alloc/delta_price.h"
 #include "alloc/initial.h"
 #include "alloc/move_engine.h"
+#include "common/rng.h"
 #include "model/alloc_state.h"
 
 namespace cloudalloc::baselines {

@@ -11,12 +11,18 @@
 
 #include "alloc/options.h"
 #include "model/allocation.h"
-#include "opt/annealing.h"
 
 namespace cloudalloc::baselines {
 
+struct AnnealingOptions {
+  double initial_temperature = 1.0;
+  double cooling = 0.995;       ///< geometric cooling factor per step
+  int steps = 10'000;
+  double min_temperature = 1e-6;
+};
+
 struct SaAllocOptions {
-  opt::AnnealingOptions annealing;
+  AnnealingOptions annealing;
   alloc::AllocatorOptions alloc;
 };
 

@@ -13,22 +13,16 @@
 
 namespace cloudalloc::dist {
 
-std::optional<alloc::InsertionPlan> ClusterAgent::evaluate_insertion(
-    const model::Allocation& snapshot, model::ClientId i,
-    const alloc::InsertionConstraints& constraints) const {
-  return alloc::assign_distribute(snapshot.residual(), i, cluster_, opts_,
-                                  constraints);
-}
-
 protocol::ClusterImprovement ClusterAgent::improve(
-    const model::Allocation& snapshot) const {
+    model::Allocation snapshot) const {
   const model::Cloud& cloud = snapshot.cloud();
-  // Private engine copy at the snapshot boundary: the one Allocation copy
-  // per agent per round that the message-passing model inherently needs
-  // (improve only reads the snapshot it is given).
-  // analyze: allow(allocation-copy) -- agent-snapshot boundary (see the
-  // comment above: the one sanctioned copy per agent round).
-  model::AllocState local(snapshot.clone());
+  // The clients the snapshot assigns here, taken before the engine owns
+  // it: the report also names the ones TurnOFF evicts.
+  std::vector<char> was_ours(static_cast<std::size_t>(cloud.num_clients()));
+  for (model::ClientId i : cloud.client_ids())
+    was_ours[static_cast<std::size_t>(i.index())] =
+        snapshot.cluster_of(i) == cluster_;
+  model::AllocState local(std::move(snapshot));
   const double before = local.profit();
 
   if (opts_.enable_adjust_shares)
@@ -48,9 +42,8 @@ protocol::ClusterImprovement ClusterAgent::improve(
   for (model::ClientId i : cloud.client_ids()) {
     // Report every client that is (or was) ours so the manager can also
     // apply evictions performed by TurnOFF.
-    const bool was_ours = snapshot.cluster_of(i) == cluster_;
     const bool is_ours = local.ledger().cluster_of(i) == cluster_;
-    if (!was_ours && !is_ours) continue;
+    if (!was_ours[static_cast<std::size_t>(i.index())] && !is_ours) continue;
     protocol::ClientPlacements row;
     row.client = i;
     row.cluster = is_ours ? cluster_ : model::kNoCluster;
@@ -86,9 +79,7 @@ void AgentActor::run() {
     std::visit(
         [&](const auto& m) {
           using M = std::decay_t<decltype(m)>;
-          if constexpr (std::is_same_v<M, protocol::BidRequest>) {
-            if (m.epoch == epoch_) handle_bid(m);
-          } else if constexpr (std::is_same_v<M, protocol::ImproveRequest>) {
+          if constexpr (std::is_same_v<M, protocol::ImproveRequest>) {
             if (m.epoch == epoch_) handle_improve(m);
           } else {
             static_assert(std::is_same_v<M, protocol::Shutdown>);
@@ -124,33 +115,6 @@ model::Allocation AgentActor::rebuild() const {
   return snapshot;
 }
 
-bool AgentActor::respond(const protocol::ManagerMessage& message) {
-  if (!transport_->send_to_manager(cluster_.value(), codec::encode(message))) {
-    manager_gone_ = true;  // propagate the refused send: run is over
-    return false;
-  }
-  return true;
-}
-
-void AgentActor::handle_bid(const protocol::BidRequest& req) {
-  protocol::BidResponse resp;
-  resp.epoch = epoch_;
-  resp.seq = req.seq;
-  resp.cluster = cluster_;
-  resp.applied = apply_delta(req.delta);
-  resp.state_version = version_;
-  if (resp.applied) {
-    const model::Allocation snapshot = rebuild();
-    const auto plan = agent_.evaluate_insertion(snapshot, req.client);
-    resp.feasible = plan.has_value();
-    if (plan) {
-      resp.score = plan->score;
-      resp.placements = plan->placements;
-    }
-  }
-  (void)respond(protocol::ManagerMessage{std::move(resp)});
-}
-
 void AgentActor::handle_improve(const protocol::ImproveRequest& req) {
   // Duplicate round: resend the cached encoded response verbatim.
   if (const auto it = improve_cache_.find(req.round);
@@ -166,7 +130,7 @@ void AgentActor::handle_improve(const protocol::ImproveRequest& req) {
   resp.applied = apply_delta(req.delta);
   resp.state_version = version_;
   if (resp.applied) resp.improvement = agent_.improve(rebuild());
-  const std::string bytes = codec::encode(protocol::ManagerMessage{resp});
+  const std::string bytes = codec::encode(resp);
   if (resp.applied) {
     improve_cache_[req.round] = bytes;
     // The manager only ever re-asks about recent rounds; cap the cache.

@@ -1,7 +1,7 @@
 // A cluster-level resource manager (the paper's "local agent"). Each agent
-// owns one cluster and can (a) price a client insertion against a snapshot
-// of the global state and (b) run the cluster-local improvement stages.
-// Because every client is served by exactly one cluster, profit is
+// owns one cluster and runs the cluster-local improvement stages on a
+// snapshot of the global state; the manager builds the greedy start
+// itself. Because every client is served by exactly one cluster, profit is
 // separable by cluster, so agents can work on snapshots concurrently and
 // the manager can merge their results without conflicts.
 //
@@ -14,11 +14,9 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "alloc/assign_distribute.h"
 #include "alloc/options.h"
 #include "dist/protocol.h"
 #include "model/allocation.h"
@@ -34,16 +32,11 @@ class ClusterAgent {
 
   model::ClusterId cluster() const { return cluster_; }
 
-  /// Prices inserting client i into this agent's cluster against the
-  /// snapshot (Assign_Distribute run remotely).
-  std::optional<alloc::InsertionPlan> evaluate_insertion(
-      const model::Allocation& snapshot, model::ClientId i,
-      const alloc::InsertionConstraints& constraints = {}) const;
-
   /// Runs Adjust_ResourceShares on the cluster's servers,
-  /// Adjust_DispersionRates on its clients, and TurnON/TurnOFF, all on a
-  /// private copy of the snapshot; returns the cluster's new placements.
-  protocol::ClusterImprovement improve(const model::Allocation& snapshot) const;
+  /// Adjust_DispersionRates on its clients, and TurnON/TurnOFF on the
+  /// snapshot, which the agent owns (the actor hands it a private settled
+  /// rebuild); returns the cluster's new placements.
+  protocol::ClusterImprovement improve(model::Allocation snapshot) const;
 
  private:
   model::ClusterId cluster_;
@@ -52,8 +45,8 @@ class ClusterAgent {
 
 /// The message-driven agent: a replica of the global placements (version-
 /// stamped, delta-updated), a ClusterAgent core, and a receive loop that
-/// services BidRequest / ImproveRequest / Shutdown until its channel
-/// closes. Runs on a dedicated thread owned by the manager.
+/// services ImproveRequest / Shutdown until its channel closes. Runs on a
+/// dedicated thread owned by the manager.
 ///
 /// Loss tolerance is local and simple:
 ///   - a delta the replica cannot apply (missed base) is refused, and the
@@ -73,17 +66,12 @@ class AgentActor {
   /// for this epoch arrives. Safe to call exactly once.
   void run();
 
-  std::int64_t state_version() const { return version_; }
-
  private:
-  void handle_bid(const protocol::BidRequest& req);
   void handle_improve(const protocol::ImproveRequest& req);
   /// Applies a delta if it moves the replica forward; afterwards the
   /// replica is at the request's target iff the return value is true.
   bool apply_delta(const protocol::StateDelta& delta);
   model::Allocation rebuild() const;
-  /// False when the manager is gone — the loop should wind down.
-  bool respond(const protocol::ManagerMessage& message);
 
   const model::Cloud& cloud_;
   ClusterAgent agent_;

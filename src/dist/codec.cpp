@@ -189,14 +189,7 @@ std::string encode(const protocol::AgentMessage& message) {
   JsonObject o = std::visit(
       [](const auto& m) -> JsonObject {
         using M = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<M, protocol::BidRequest>) {
-          JsonObject h = header("bid_request", m.epoch);
-          h.emplace("seq", m.seq);
-          h.emplace("cluster", m.cluster.value());
-          h.emplace("client", m.client.value());
-          h.emplace("delta", delta_to_json(m.delta));
-          return h;
-        } else if constexpr (std::is_same_v<M, protocol::ImproveRequest>) {
+        if constexpr (std::is_same_v<M, protocol::ImproveRequest>) {
           JsonObject h = header("improve_request", m.epoch);
           h.emplace("round", m.round);
           h.emplace("cluster", m.cluster.value());
@@ -211,33 +204,14 @@ std::string encode(const protocol::AgentMessage& message) {
   return Json(std::move(o)).dump();
 }
 
-std::string encode(const protocol::ManagerMessage& message) {
-  JsonObject o = std::visit(
-      [](const auto& m) -> JsonObject {
-        using M = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<M, protocol::BidResponse>) {
-          JsonObject h = header("bid_response", m.epoch);
-          h.emplace("seq", m.seq);
-          h.emplace("cluster", m.cluster.value());
-          h.emplace("version", m.state_version);
-          h.emplace("applied", m.applied);
-          h.emplace("feasible", m.feasible);
-          h.emplace("score", m.score);
-          h.emplace("placements", placements_to_json(m.placements));
-          return h;
-        } else {
-          static_assert(std::is_same_v<M, protocol::ImproveResponse>);
-          JsonObject h = header("improve_response", m.epoch);
-          h.emplace("round", m.round);
-          h.emplace("cluster", m.cluster.value());
-          h.emplace("version", m.state_version);
-          h.emplace("applied", m.applied);
-          h.emplace("profit_delta", m.improvement.profit_delta);
-          h.emplace("placements", rows_to_json(m.improvement.placements));
-          return h;
-        }
-      },
-      message);
+std::string encode(const protocol::ImproveResponse& message) {
+  JsonObject o = header("improve_response", message.epoch);
+  o.emplace("round", message.round);
+  o.emplace("cluster", message.cluster.value());
+  o.emplace("version", message.state_version);
+  o.emplace("applied", message.applied);
+  o.emplace("profit_delta", message.improvement.profit_delta);
+  o.emplace("placements", rows_to_json(message.improvement.placements));
   return Json(std::move(o)).dump();
 }
 
@@ -249,15 +223,7 @@ std::optional<protocol::AgentMessage> decode_agent_message(
   if (!doc) return std::nullopt;
   Cursor cur;
   std::optional<protocol::AgentMessage> out;
-  if (type == "bid_request") {
-    protocol::BidRequest m;
-    m.epoch = epoch;
-    m.seq = cur.integer<std::int64_t>(*doc, "seq");
-    m.cluster = ClusterId{cur.integer<int>(*doc, "cluster")};
-    m.client = ClientId{cur.integer<int>(*doc, "client")};
-    m.delta = delta_from_json(*doc, "delta", cur);
-    out = std::move(m);
-  } else if (type == "improve_request") {
+  if (type == "improve_request") {
     protocol::ImproveRequest m;
     m.epoch = epoch;
     m.round = cur.integer<int>(*doc, "round");
@@ -278,44 +244,31 @@ std::optional<protocol::AgentMessage> decode_agent_message(
   return out;
 }
 
-std::optional<protocol::ManagerMessage> decode_manager_message(
+std::optional<protocol::ImproveResponse> decode_manager_message(
     const std::string& bytes, std::string* error) {
   std::string type;
   std::uint64_t epoch = 0;
   const auto doc = parse_envelope(bytes, &type, &epoch, error);
   if (!doc) return std::nullopt;
-  Cursor cur;
-  std::optional<protocol::ManagerMessage> out;
-  if (type == "bid_response") {
-    protocol::BidResponse m;
-    m.epoch = epoch;
-    m.seq = cur.integer<std::int64_t>(*doc, "seq");
-    m.cluster = ClusterId{cur.integer<int>(*doc, "cluster")};
-    m.state_version = cur.integer<std::int64_t>(*doc, "version");
-    m.applied = cur.boolean(*doc, "applied");
-    m.feasible = cur.boolean(*doc, "feasible");
-    m.score = cur.num(*doc, "score");
-    m.placements = placements_from_json(*doc, "placements", cur);
-    out = std::move(m);
-  } else if (type == "improve_response") {
-    protocol::ImproveResponse m;
-    m.epoch = epoch;
-    m.round = cur.integer<int>(*doc, "round");
-    m.cluster = ClusterId{cur.integer<int>(*doc, "cluster")};
-    m.state_version = cur.integer<std::int64_t>(*doc, "version");
-    m.applied = cur.boolean(*doc, "applied");
-    m.improvement.cluster = m.cluster;
-    m.improvement.profit_delta = cur.num(*doc, "profit_delta");
-    m.improvement.placements = rows_from_json(*doc, "placements", cur);
-    out = std::move(m);
-  } else {
-    cur.fail("unknown manager message type: " + type);
+  if (type != "improve_response") {
+    if (error != nullptr) *error = "unknown manager message type: " + type;
+    return std::nullopt;
   }
+  Cursor cur;
+  protocol::ImproveResponse m;
+  m.epoch = epoch;
+  m.round = cur.integer<int>(*doc, "round");
+  m.cluster = ClusterId{cur.integer<int>(*doc, "cluster")};
+  m.state_version = cur.integer<std::int64_t>(*doc, "version");
+  m.applied = cur.boolean(*doc, "applied");
+  m.improvement.cluster = m.cluster;
+  m.improvement.profit_delta = cur.num(*doc, "profit_delta");
+  m.improvement.placements = rows_from_json(*doc, "placements", cur);
   if (!cur.ok()) {
     if (error != nullptr) *error = cur.error();
     return std::nullopt;
   }
-  return out;
+  return m;
 }
 
 }  // namespace cloudalloc::dist::codec

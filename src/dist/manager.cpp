@@ -161,9 +161,7 @@ DistributedResult DistributedAllocator::run(const Cloud& cloud) const {
   DistributedReport report;
 
   // Multi-start greedy initial solution, manager-local (identical to the
-  // sequential allocator; the remote-bid deployment of this phase exists
-  // in the protocol — see BidRequest — and only the protocol tests
-  // exercise it).
+  // sequential allocator).
   const int workers = resolve_workers(aopts.num_threads);
   ThreadPool* pool = workers > 1 ? &ThreadPool::shared(workers) : nullptr;
   {
@@ -259,14 +257,9 @@ DistributedResult DistributedAllocator::run(const Cloud& cloud) const {
         }
         auto envelope = transport->manager_receive_for(remaining_ms);
         if (!envelope) break;  // timed out (or transport torn down)
-        auto message = codec::decode_manager_message(envelope->bytes);
-        if (!message) {
+        auto resp = codec::decode_manager_message(envelope->bytes);
+        if (!resp) {
           ++report.stale_messages;  // undecodable frame
-          continue;
-        }
-        const auto* resp = std::get_if<protocol::ImproveResponse>(&*message);
-        if (resp == nullptr) {  // a BidResponse has no business here
-          ++report.stale_messages;
           continue;
         }
         const auto k = static_cast<std::size_t>(resp->cluster.index());
@@ -281,7 +274,7 @@ DistributedResult DistributedAllocator::run(const Cloud& cloud) const {
           ++report.stale_messages;  // late duplicate or wrong round
           continue;
         }
-        got[k] = *resp;
+        got[k] = std::move(resp);
         if (!dead[k]) ++received;
       }
 

@@ -53,30 +53,6 @@ struct StateDelta {
   std::vector<ClientPlacements> changes;
 };
 
-/// Remote Assign_Distribute pricing: "what would inserting `client` into
-/// your cluster cost/yield, given this state?" One per agent per greedy
-/// insertion in the fully remote deployment.
-struct BidRequest {
-  std::uint64_t epoch = 0;  ///< decision-epoch id; mismatches are discarded
-  std::int64_t seq = 0;     ///< per-agent request sequence number
-  model::ClusterId cluster = model::kNoCluster;  ///< addressee
-  model::ClientId client = model::kNoClient;     ///< who to price
-  StateDelta delta;  ///< brings the agent's replica up to date first
-};
-
-struct BidResponse {
-  std::uint64_t epoch = 0;
-  std::int64_t seq = 0;  ///< echoes BidRequest::seq (dedup key)
-  model::ClusterId cluster = model::kNoCluster;
-  std::int64_t state_version = 0;  ///< replica version after handling
-  /// False when the replica could not reach the request's target version
-  /// (missed delta) — the bid is then absent and must not be compared.
-  bool applied = false;
-  bool feasible = false;  ///< false = no feasible insertion in this cluster
-  double score = 0.0;     ///< InsertionPlan::score (comparable across bids)
-  std::vector<model::Placement> placements;
-};
-
 /// One improvement round: update your replica, run the cluster-local
 /// stages (Adjust_ResourceShares / Adjust_DispersionRates / TurnON /
 /// TurnOFF), report your cluster's new placements.
@@ -112,9 +88,9 @@ struct Shutdown {
   std::uint64_t epoch = 0;
 };
 
-/// Everything a manager can send to an agent / an agent to the manager.
-using AgentMessage = std::variant<BidRequest, ImproveRequest, Shutdown>;
-using ManagerMessage = std::variant<BidResponse, ImproveResponse>;
+/// Everything a manager can send to an agent. An agent sends only
+/// ImproveResponses.
+using AgentMessage = std::variant<ImproveRequest, Shutdown>;
 
 /// Rebuilds a full Allocation from placement rows (sorted by client id;
 /// unassigned rows skipped). Every agent snapshot is built through this

@@ -13,7 +13,9 @@
 // restored before the next engine operation; only a committed move goes
 // through assign()/clear().
 //
-// Copies happen only at documented boundaries:
+// No whole Allocation is copied: a greedy pass starts from the Cloud, a
+// cluster agent owns the snapshot it is handed, and the two partial
+// copies below are the only ones the engine makes:
 //   - save(k)/rollback()/commit(): cluster-scoped savepoints for phases
 //     that speculate inside one cluster (TurnON/TurnOFF). A savepoint
 //     holds bitwise pre-images of cluster k's view entries (an Undo),

@@ -88,9 +88,9 @@ class Allocation {
   /// (Assign_Distribute, delta pricing). Copy it to speculate.
   const ResidualView& residual() const { return residual_; }
 
-  /// Deep copy, for the documented snapshot boundaries (a distributed
-  /// agent's private copy, the greedy's base state). In-place speculation
-  /// uses AllocState savepoints instead.
+  /// Deep copy. Nothing in src/ copies a whole allocation (in-place
+  /// speculation uses AllocState savepoints); tests, benches and examples
+  /// clone to run several trials from one start.
   Allocation clone() const { return *this; }
 
   /// Total profit (eq. 2), maintained incrementally: a mutation of client

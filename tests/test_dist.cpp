@@ -82,18 +82,6 @@ TEST(ThreadPool, ParallelForDrainsAllTasksBeforeRethrowing) {
   EXPECT_EQ(completed.load(), 63);
 }
 
-TEST(ClusterAgent, EvaluatesOnlyItsCluster) {
-  const auto cloud = workload::make_tiny_scenario(2);
-  alloc::AllocatorOptions opts;
-  model::Allocation snapshot(cloud);
-  ClusterAgent agent(model::ClusterId{1}, opts);
-  const auto plan = agent.evaluate_insertion(snapshot, model::ClientId{0});
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->cluster, model::ClusterId{1});
-  for (const auto& p : plan->placements)
-    EXPECT_EQ(cloud.server(p.server).cluster, model::ClusterId{1});
-}
-
 TEST(ClusterAgent, ImproveOnlyTouchesItsClients) {
   workload::ScenarioParams params;
   params.num_clients = 20;
@@ -104,7 +92,7 @@ TEST(ClusterAgent, ImproveOnlyTouchesItsClients) {
   model::Allocation snapshot =
       alloc::build_initial_solution(cloud, opts, rng);
   ClusterAgent agent(model::ClusterId{0}, opts);
-  const auto improvement = agent.improve(snapshot);
+  const auto improvement = agent.improve(snapshot.clone());
   EXPECT_EQ(improvement.cluster, model::ClusterId{0});
   EXPECT_GE(improvement.profit_delta, -1e-9);
   for (const auto& row : improvement.placements) {
@@ -187,10 +175,10 @@ void expect_identical_allocations(const model::Allocation& a,
 
 /// The manager's rounds without messages, in one address space: each
 /// round rebuilds the snapshot from the ledger's placement rows and
-/// settles it, runs every cluster's agent on it, merges the improvements
-/// in cluster order, runs the snapshot reassign pass and keeps the best
-/// round. DistributedAllocator::run must reproduce it bit for bit over a
-/// fault-free transport.
+/// settles it, runs every cluster's agent on a copy of it, merges the
+/// improvements in cluster order, runs the snapshot reassign pass and
+/// keeps the best round. DistributedAllocator::run must reproduce it bit
+/// for bit over a fault-free transport.
 DistributedResult in_memory_rounds(const model::Cloud& cloud,
                                    const alloc::AllocatorOptions& opts) {
   const int K = cloud.num_clusters();
@@ -223,7 +211,7 @@ DistributedResult in_memory_rounds(const model::Cloud& cloud,
         static_cast<std::size_t>(K));
     eval.for_n(K, [&](int k) {
       improvements[static_cast<std::size_t>(k)] =
-          ClusterAgent(model::ClusterId{k}, opts).improve(snapshot);
+          ClusterAgent(model::ClusterId{k}, opts).improve(snapshot.clone());
     });
     for (int k = 0; k < K; ++k)
       for (const protocol::ClientPlacements& row :

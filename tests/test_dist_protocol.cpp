@@ -1,8 +1,6 @@
 // The wire protocol end to end: codec round trips are bitwise, malformed
-// frames are rejected (never fatal), AgentActor's versioned-delta replica
-// follows the idempotence contract of dist/protocol.h, and a greedy built
-// purely from BidRequest/BidResponse exchanges prices insertions
-// bit-identically to local ClusterAgent evaluation.
+// frames are rejected (never fatal), and AgentActor's versioned-delta
+// replica follows the idempotence contract of dist/protocol.h.
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -19,8 +17,6 @@
 #include "dist/codec.h"
 #include "dist/protocol.h"
 #include "dist/transport.h"
-#include "model/evaluator.h"
-#include "model/feasibility.h"
 #include "workload/scenario.h"
 
 namespace cloudalloc::dist {
@@ -97,22 +93,6 @@ TEST(Codec, AgentMessagesRoundTripBitwise) {
   // Strongest form: decode(encode(m)) re-encodes to the same bytes.
   EXPECT_EQ(codec::encode(*decoded), bytes);
 
-  protocol::BidRequest bid;
-  bid.epoch = kEpoch;
-  bid.seq = 19;
-  bid.cluster = model::ClusterId{0};
-  bid.client = model::ClientId{4};
-  bid.delta.base_version = 1;
-  bid.delta.target_version = 1;
-  const std::string bid_bytes = codec::encode(protocol::AgentMessage{bid});
-  const auto bid_decoded = codec::decode_agent_message(bid_bytes);
-  ASSERT_TRUE(bid_decoded.has_value());
-  EXPECT_EQ(codec::encode(*bid_decoded), bid_bytes);
-  const auto* breq = std::get_if<protocol::BidRequest>(&*bid_decoded);
-  ASSERT_NE(breq, nullptr);
-  EXPECT_EQ(breq->seq, 19);
-  EXPECT_EQ(breq->client, model::ClientId{4});
-
   const std::string bye =
       codec::encode(protocol::AgentMessage{protocol::Shutdown{kEpoch}});
   const auto bye_decoded = codec::decode_agent_message(bye);
@@ -122,31 +102,6 @@ TEST(Codec, AgentMessagesRoundTripBitwise) {
 }
 
 TEST(Codec, ManagerMessagesRoundTripBitwise) {
-  // Deliberately awkward doubles: non-terminating binary fractions and a
-  // value one ulp away from 1.0 must survive the trip unchanged.
-  protocol::BidResponse bid;
-  bid.epoch = kEpoch;
-  bid.seq = 3;
-  bid.cluster = model::ClusterId{2};
-  bid.state_version = 9;
-  bid.applied = true;
-  bid.feasible = true;
-  bid.score = 0.1 + 0.2;
-  bid.placements.push_back(
-      model::Placement{model::ServerId{5}, 1.0 / 3.0,
-                       std::nextafter(1.0, 2.0), 2.0 / 7.0});
-  const std::string bytes = codec::encode(protocol::ManagerMessage{bid});
-  const auto decoded = codec::decode_manager_message(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  const auto* resp = std::get_if<protocol::BidResponse>(&*decoded);
-  ASSERT_NE(resp, nullptr);
-  EXPECT_EQ(resp->score, 0.1 + 0.2);
-  ASSERT_EQ(resp->placements.size(), 1u);
-  EXPECT_EQ(resp->placements[0].psi, 1.0 / 3.0);
-  EXPECT_EQ(resp->placements[0].phi_p, std::nextafter(1.0, 2.0));
-  EXPECT_EQ(resp->placements[0].phi_n, 2.0 / 7.0);
-  EXPECT_EQ(codec::encode(*decoded), bytes);
-
   protocol::ImproveResponse improve;
   improve.epoch = kEpoch;
   improve.round = 2;
@@ -155,19 +110,34 @@ TEST(Codec, ManagerMessagesRoundTripBitwise) {
   improve.applied = true;
   improve.improvement.cluster = model::ClusterId{0};
   improve.improvement.profit_delta = 1e-17;
+  // Deliberately awkward doubles: non-terminating binary fractions and a
+  // value one ulp away from 1.0 must survive the trip unchanged.
+  protocol::ClientPlacements placed;
+  placed.client = model::ClientId{2};
+  placed.cluster = model::ClusterId{0};
+  placed.placements.push_back(
+      model::Placement{model::ServerId{5}, 1.0 / 3.0,
+                       std::nextafter(1.0, 2.0), 2.0 / 7.0});
+  improve.improvement.placements.push_back(placed);
   protocol::ClientPlacements evicted;
   evicted.client = model::ClientId{6};  // eviction row: kNoCluster, empty
   improve.improvement.placements.push_back(evicted);
-  const std::string ibytes = codec::encode(protocol::ManagerMessage{improve});
-  const auto idecoded = codec::decode_manager_message(ibytes);
-  ASSERT_TRUE(idecoded.has_value());
-  const auto* iresp = std::get_if<protocol::ImproveResponse>(&*idecoded);
-  ASSERT_NE(iresp, nullptr);
-  EXPECT_EQ(iresp->improvement.profit_delta, 1e-17);
-  ASSERT_EQ(iresp->improvement.placements.size(), 1u);
-  EXPECT_EQ(iresp->improvement.placements[0].cluster, model::kNoCluster);
-  EXPECT_TRUE(iresp->improvement.placements[0].placements.empty());
-  EXPECT_EQ(codec::encode(*idecoded), ibytes);
+  const std::string bytes = codec::encode(improve);
+  const auto decoded = codec::decode_manager_message(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->improvement.profit_delta, 1e-17);
+  ASSERT_EQ(decoded->improvement.placements.size(), 2u);
+  const auto& row = decoded->improvement.placements[0];
+  EXPECT_EQ(row.client, model::ClientId{2});
+  EXPECT_EQ(row.cluster, model::ClusterId{0});
+  ASSERT_EQ(row.placements.size(), 1u);
+  EXPECT_EQ(row.placements[0].server, model::ServerId{5});
+  EXPECT_EQ(row.placements[0].psi, 1.0 / 3.0);
+  EXPECT_EQ(row.placements[0].phi_p, std::nextafter(1.0, 2.0));
+  EXPECT_EQ(row.placements[0].phi_n, 2.0 / 7.0);
+  EXPECT_EQ(decoded->improvement.placements[1].cluster, model::kNoCluster);
+  EXPECT_TRUE(decoded->improvement.placements[1].placements.empty());
+  EXPECT_EQ(codec::encode(*decoded), bytes);
 }
 
 TEST(Codec, MalformedFramesAreRejectedNotFatal) {
@@ -201,6 +171,9 @@ TEST(Codec, MalformedFramesAreRejectedNotFatal) {
       R"("cluster":0,"delta":{"base":0,"target":1e300,"changes":[]}})",
       // Nesting past the parser's depth cap.
       std::string(100000, '['),
+      // A well-formed frame of a type the agent no longer serves.
+      R"({"client":4,"cluster":0,"delta":{"base":1,"changes":[],"target":1},)"
+      R"("epoch":42,"proto":1,"seq":19,"type":"bid_request"})",
   };
   for (const std::string& bytes : cases) {
     std::string error;
@@ -214,8 +187,18 @@ TEST(Codec, MalformedFramesAreRejectedNotFatal) {
   const std::string valid = codec::encode(protocol::AgentMessage{improve});
   EXPECT_FALSE(
       codec::decode_agent_message(valid.substr(0, valid.size() - 3)));
-  // An agent message is not a manager message and vice versa.
-  EXPECT_FALSE(codec::decode_manager_message(valid).has_value());
+  // An agent message is not a manager message and vice versa, and the
+  // manager accepts no frame type but improve_response.
+  const std::string bid_response =
+      R"({"applied":true,"cluster":2,"epoch":42,"feasible":true,)"
+      R"("placements":[{"phi_n":0.5,"phi_p":0.5,"psi":1,"server":5}],)"
+      R"("proto":1,"score":0.25,"seq":3,"type":"bid_response","version":9})";
+  for (const std::string& bytes : {valid, bid_response}) {
+    std::string error;
+    EXPECT_FALSE(codec::decode_manager_message(bytes, &error).has_value())
+        << bytes;
+    EXPECT_FALSE(error.empty()) << bytes;
+  }
   // The out-of-range cluster cases above differ from a frame that decodes
   // only in that field.
   const std::string in_range =
@@ -245,7 +228,7 @@ class ActorHarness {
 
   /// Receives and decodes the next manager-bound message (5 s cushion —
   /// the channel is reliable, so this never times out in practice).
-  std::optional<protocol::ManagerMessage> receive(std::string* raw = nullptr) {
+  std::optional<protocol::ImproveResponse> receive(std::string* raw = nullptr) {
     auto env = transport_.manager_receive_for(5000.0);
     if (!env) return std::nullopt;
     if (raw != nullptr) *raw = env->bytes;
@@ -289,10 +272,8 @@ TEST(AgentActor, DeltaSemanticsFollowTheProtocolContract) {
   ASSERT_TRUE(harness.send(
       protocol::AgentMessage{improve_request(1, 0, 1, rows_of(alloc0))}));
   std::string round1_bytes;
-  auto msg = harness.receive(&round1_bytes);
-  ASSERT_TRUE(msg.has_value());
-  auto* resp = std::get_if<protocol::ImproveResponse>(&*msg);
-  ASSERT_NE(resp, nullptr);
+  auto resp = harness.receive(&round1_bytes);
+  ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->round, 1);
   EXPECT_TRUE(resp->applied);
   EXPECT_EQ(resp->state_version, 1);
@@ -302,10 +283,8 @@ TEST(AgentActor, DeltaSemanticsFollowTheProtocolContract) {
   // reports the version actually held so the manager can rebase.
   ASSERT_TRUE(
       harness.send(protocol::AgentMessage{improve_request(2, 5, 6)}));
-  msg = harness.receive();
-  ASSERT_TRUE(msg.has_value());
-  resp = std::get_if<protocol::ImproveResponse>(&*msg);
-  ASSERT_NE(resp, nullptr);
+  resp = harness.receive();
+  ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->round, 2);
   EXPECT_FALSE(resp->applied);
   EXPECT_EQ(resp->state_version, 1);  // replica untouched
@@ -313,10 +292,8 @@ TEST(AgentActor, DeltaSemanticsFollowTheProtocolContract) {
   // Rebased delta from the reported version lands on the target.
   ASSERT_TRUE(harness.send(
       protocol::AgentMessage{improve_request(3, 1, 6, rows_of(alloc0))}));
-  msg = harness.receive();
-  ASSERT_TRUE(msg.has_value());
-  resp = std::get_if<protocol::ImproveResponse>(&*msg);
-  ASSERT_NE(resp, nullptr);
+  resp = harness.receive();
+  ASSERT_TRUE(resp.has_value());
   EXPECT_TRUE(resp->applied);
   EXPECT_EQ(resp->state_version, 6);
 
@@ -326,8 +303,8 @@ TEST(AgentActor, DeltaSemanticsFollowTheProtocolContract) {
   ASSERT_TRUE(harness.send(
       protocol::AgentMessage{improve_request(1, 0, 1, rows_of(alloc0))}));
   std::string duplicate_bytes;
-  msg = harness.receive(&duplicate_bytes);
-  ASSERT_TRUE(msg.has_value());
+  resp = harness.receive(&duplicate_bytes);
+  ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(duplicate_bytes, round1_bytes);
 
   // Messages for another epoch are ignored outright: no reply, no state
@@ -336,10 +313,8 @@ TEST(AgentActor, DeltaSemanticsFollowTheProtocolContract) {
       improve_request(9, 6, 7, {}, kEpoch + 1)}));
   ASSERT_TRUE(
       harness.send(protocol::AgentMessage{improve_request(4, 6, 6)}));
-  msg = harness.receive();
-  ASSERT_TRUE(msg.has_value());
-  resp = std::get_if<protocol::ImproveResponse>(&*msg);
-  ASSERT_NE(resp, nullptr);
+  resp = harness.receive();
+  ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->round, 4);
   EXPECT_EQ(resp->state_version, 6);
 
@@ -347,129 +322,13 @@ TEST(AgentActor, DeltaSemanticsFollowTheProtocolContract) {
   ASSERT_TRUE(harness.transport().send_to_agent(0, "garbage {{{"));
   ASSERT_TRUE(
       harness.send(protocol::AgentMessage{improve_request(5, 6, 6)}));
-  msg = harness.receive();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(std::get_if<protocol::ImproveResponse>(&*msg)->round, 5);
+  resp = harness.receive();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->round, 5);
 
   // Polite shutdown ends the loop (the harness destructor would otherwise
   // end it via close_all — this exercises the Shutdown path).
   ASSERT_TRUE(harness.send(protocol::AgentMessage{protocol::Shutdown{kEpoch}}));
-}
-
-// --- remote bidding ------------------------------------------------------
-
-// A greedy assignment driven purely by BidRequest/BidResponse exchanges
-// prices every insertion bit-identically to calling the ClusterAgent core
-// locally on an equally-rebuilt snapshot: the protocol adds serialization
-// but no numeric drift.
-TEST(AgentActor, GreedyByBidsMatchesLocalEvaluationBitwise) {
-  workload::ScenarioParams params;
-  params.num_clients = 10;
-  params.servers_per_cluster = 4;
-  const auto cloud = workload::make_scenario(params, 37);
-  const int K = cloud.num_clusters();
-  alloc::AllocatorOptions opts;
-  opts.seed = 7;
-
-  ChannelTransport transport(K);
-  std::vector<std::unique_ptr<AgentActor>> actors;
-  std::vector<std::thread> threads;
-  for (int k = 0; k < K; ++k) {
-    actors.push_back(std::make_unique<AgentActor>(
-        cloud, model::ClusterId{k}, opts, kEpoch, &transport));
-    // Capture the actor pointer, not the vector: a later push_back may
-    // reallocate `actors` while this thread is already running.
-    AgentActor* actor = actors.back().get();
-    threads.emplace_back([actor] { actor->run(); });
-  }
-
-  // Manager-side ledger: dense rows + the authoritative state version.
-  model::Allocation ledger(cloud);
-  std::int64_t version = 0;
-  std::vector<protocol::ClientPlacements> last_change;
-  std::int64_t seq = 0;
-
-  for (model::ClientId i : cloud.client_ids()) {
-    // Broadcast: bring every replica to `version` (reliable transport, so
-    // every agent sits exactly one delta behind) and price client i.
-    for (int k = 0; k < K; ++k) {
-      protocol::BidRequest req;
-      req.epoch = kEpoch;
-      req.seq = seq;
-      req.cluster = model::ClusterId{k};
-      req.client = i;
-      req.delta.base_version = version > 0 ? version - 1 : 0;
-      req.delta.target_version = version;
-      req.delta.changes = last_change;
-      ASSERT_TRUE(transport.send_to_agent(
-          k, codec::encode(protocol::AgentMessage{req})));
-    }
-    // The local oracle sees a snapshot rebuilt exactly as the agents
-    // rebuild theirs (same assign order, then settled).
-    model::Allocation snapshot =
-        protocol::rebuild_allocation(cloud, rows_of(ledger));
-    (void)model::profit(snapshot);
-
-    int best_cluster = -1;
-    double best_score = 0.0;
-    std::vector<model::Placement> best_placements;
-    for (int n = 0; n < K; ++n) {
-      auto env = transport.manager_receive_for(5000.0);
-      ASSERT_TRUE(env.has_value());
-      auto msg = codec::decode_manager_message(env->bytes);
-      ASSERT_TRUE(msg.has_value());
-      const auto* resp = std::get_if<protocol::BidResponse>(&*msg);
-      ASSERT_NE(resp, nullptr);
-      EXPECT_EQ(resp->seq, seq);
-      EXPECT_TRUE(resp->applied);
-      EXPECT_EQ(resp->state_version, version);
-
-      const int k = resp->cluster.value();
-      const auto local = ClusterAgent(resp->cluster, opts)
-                             .evaluate_insertion(snapshot, i);
-      ASSERT_EQ(resp->feasible, local.has_value()) << "cluster " << k;
-      if (!resp->feasible) continue;
-      EXPECT_EQ(resp->score, local->score) << "cluster " << k;  // bitwise
-      ASSERT_EQ(resp->placements.size(), local->placements.size());
-      for (std::size_t p = 0; p < resp->placements.size(); ++p) {
-        EXPECT_EQ(resp->placements[p].server, local->placements[p].server);
-        EXPECT_EQ(resp->placements[p].psi, local->placements[p].psi);
-        EXPECT_EQ(resp->placements[p].phi_p, local->placements[p].phi_p);
-        EXPECT_EQ(resp->placements[p].phi_n, local->placements[p].phi_n);
-      }
-      if (best_cluster < 0 || resp->score > best_score ||
-          (resp->score == best_score && k < best_cluster)) {
-        best_cluster = k;
-        best_score = resp->score;
-        best_placements = resp->placements;
-      }
-    }
-    ++seq;
-    if (best_cluster < 0) {
-      last_change.clear();
-      continue;  // version unchanged; next delta is empty
-    }
-    ledger.assign(i, model::ClusterId{best_cluster},
-                  std::vector<model::Placement>(best_placements));
-    protocol::ClientPlacements row;
-    row.client = i;
-    row.cluster = model::ClusterId{best_cluster};
-    row.placements = best_placements;
-    last_change.assign(1, std::move(row));
-    ++version;
-  }
-
-  EXPECT_TRUE(model::is_feasible(ledger));
-  int assigned = 0;
-  for (model::ClientId i : cloud.client_ids())
-    if (ledger.is_assigned(i)) ++assigned;
-  EXPECT_GT(assigned, 0);
-
-  for (int k = 0; k < K; ++k)
-    (void)transport.send_to_agent(
-        k, codec::encode(protocol::AgentMessage{protocol::Shutdown{kEpoch}}));
-  transport.close_all();
-  for (auto& t : threads) t.join();
 }
 
 // A receiver that has a message, and reads stats() after it, sees the

@@ -16,7 +16,7 @@ TEST(GreedyInsert, AllClientsAssignedWhenCapacityAmple) {
   AllocatorOptions opts;
   std::vector<model::ClientId> order{model::ClientId{0}, model::ClientId{1},
                                      model::ClientId{2}, model::ClientId{3}};
-  const Allocation alloc = greedy_insert(Allocation(cloud), order, opts);
+  const Allocation alloc = greedy_insert(cloud, order, opts);
   for (model::ClientId i : cloud.client_ids())
     EXPECT_TRUE(alloc.is_assigned(i));
   EXPECT_TRUE(model::is_feasible(alloc));
@@ -32,8 +32,8 @@ TEST(GreedyInsert, OrderChangesOutcomeButNotFeasibility) {
   std::vector<model::ClientId> fwd, rev;
   for (model::ClientId i : cloud.client_ids()) fwd.push_back(i);
   rev.assign(fwd.rbegin(), fwd.rend());
-  const Allocation a = greedy_insert(Allocation(cloud), fwd, opts);
-  const Allocation b = greedy_insert(Allocation(cloud), rev, opts);
+  const Allocation a = greedy_insert(cloud, fwd, opts);
+  const Allocation b = greedy_insert(cloud, rev, opts);
   EXPECT_TRUE(model::is_feasible(a));
   EXPECT_TRUE(model::is_feasible(b));
 }

@@ -62,16 +62,14 @@ TEST(ShardedGreedy, BitIdenticalAcrossShardCounts) {
 
   AllocatorOptions base_opts;
   base_opts.num_shards = 1;
-  const model::Allocation base =
-      sharded_greedy_insert(model::Allocation(cloud), order, base_opts);
+  const model::Allocation base = sharded_greedy_insert(cloud, order, base_opts);
   const double base_profit = model::profit(base);
   EXPECT_GT(base_profit, 0.0);
 
   for (int shards : {1, 2, 4, 8}) {
     AllocatorOptions opts;
     opts.num_shards = shards;
-    const model::Allocation run =
-        sharded_greedy_insert(model::Allocation(cloud), order, opts);
+    const model::Allocation run = sharded_greedy_insert(cloud, order, opts);
     EXPECT_DOUBLE_EQ(model::profit(run), base_profit) << "shards " << shards;
     expect_identical(base, run);
   }
@@ -107,8 +105,7 @@ TEST(ShardedGreedy, ProducesFeasibleAllocation) {
   const auto order = shuffled_order(cloud, 3);
   AllocatorOptions opts;
   opts.num_shards = 4;
-  const model::Allocation alloc =
-      sharded_greedy_insert(model::Allocation(cloud), order, opts);
+  const model::Allocation alloc = sharded_greedy_insert(cloud, order, opts);
   const auto violations = model::check_feasibility(alloc);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front().describe());
@@ -118,8 +115,7 @@ TEST(ShardedGreedy, EmptyOrderIsANoOp) {
   const auto cloud = make_cloud(10, 19);
   AllocatorOptions opts;
   opts.num_shards = 4;
-  const model::Allocation alloc =
-      sharded_greedy_insert(model::Allocation(cloud), {}, opts);
+  const model::Allocation alloc = sharded_greedy_insert(cloud, {}, opts);
   for (model::ClientId i : cloud.client_ids())
     EXPECT_FALSE(alloc.is_assigned(i));
 }
@@ -138,16 +134,14 @@ TEST(ClusterFanout, DeterministicAndFeasible) {
   AllocatorOptions opts;
   opts.num_shards = 1;
   opts.cluster_fanout = 3;
-  const model::Allocation a =
-      sharded_greedy_insert(model::Allocation(cloud), order, opts);
+  const model::Allocation a = sharded_greedy_insert(cloud, order, opts);
   EXPECT_TRUE(model::is_feasible(a));
   EXPECT_GT(model::profit(a), 0.0);
 
   for (int shards : {2, 8}) {
     AllocatorOptions sopts = opts;
     sopts.num_shards = shards;
-    const model::Allocation b =
-        sharded_greedy_insert(model::Allocation(cloud), order, sopts);
+    const model::Allocation b = sharded_greedy_insert(cloud, order, sopts);
     expect_identical(a, b);
   }
 }

@@ -1,58 +1,12 @@
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "opt/annealing.h"
 #include "opt/exhaustive.h"
 #include "opt/genetic.h"
 
 namespace cloudalloc::opt {
 namespace {
-
-TEST(Annealing, MaximizesConcaveScalar) {
-  Rng rng(1);
-  auto neighbor = [](const double& x, Rng& r) {
-    return x + r.uniform(-0.5, 0.5);
-  };
-  auto score = [](const double& x) { return -(x - 3.0) * (x - 3.0); };
-  AnnealingOptions opts;
-  opts.steps = 5000;
-  double best_score = -1e300;
-  const double best = anneal<double>(0.0, neighbor, score, opts, rng,
-                                     &best_score);
-  EXPECT_NEAR(best, 3.0, 0.1);
-  EXPECT_NEAR(best_score, 0.0, 0.02);
-}
-
-TEST(Annealing, KeepsBestEverSeen) {
-  Rng rng(2);
-  // Score only x == 1 highly; neighbors jump randomly in {0,1,2}.
-  auto neighbor = [](const int&, Rng& r) {
-    return static_cast<int>(r.uniform_int(0, 2));
-  };
-  auto score = [](const int& x) { return x == 1 ? 10.0 : 0.0; };
-  AnnealingOptions opts;
-  opts.steps = 200;
-  double best_score = 0.0;
-  anneal<int>(0, neighbor, score, opts, rng, &best_score);
-  EXPECT_DOUBLE_EQ(best_score, 10.0);
-}
-
-TEST(Annealing, DeterministicGivenSeed) {
-  auto run = [] {
-    Rng rng(7);
-    AnnealingOptions opts;
-    opts.steps = 500;
-    double best_score = 0.0;
-    anneal<double>(
-        0.0, [](const double& x, Rng& r) { return x + r.uniform(-1, 1); },
-        [](const double& x) { return -std::fabs(x - 5.0); }, opts, rng,
-        &best_score);
-    return best_score;
-  };
-  EXPECT_DOUBLE_EQ(run(), run());
-}
 
 TEST(Genetic, SolvesOneMax) {
   Rng rng(3);

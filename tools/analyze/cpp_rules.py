@@ -239,15 +239,16 @@ _CLONE_CALL_RE = re.compile(r"\.\s*clone\s*\(\s*\)")
 
 @register(
     "allocation-copy",
-    "Allocation deep copies outside the documented clone boundaries")
+    "Allocation deep copies in src/ (no sanctioned copy remains)")
 def allocation_copy(source: SourceFile) -> Iterator[Finding]:
     """An Allocation copy is thirteen server-length arrays plus the
     per-client placement rows — the exact traffic PRs 2-3 removed from
-    the hot paths. The only sanctioned copies are the two documented
-    clone() boundaries (agent snapshot, greedy-base construction), each
-    carrying an inline waiver. clone() calls are only attributed in
-    files that mention Allocation at all, so other types' clone()
-    methods (e.g. epoch predictors) never false-positive."""
+    the hot paths. No sanctioned copy remains in src/: the cluster agent
+    owns the snapshot it is handed, the greedy passes start from the
+    Cloud, and speculation uses AllocState savepoints, so a new copy needs
+    an inline waiver with a justification. clone() calls are only
+    attributed in files that mention Allocation at all, so other types'
+    clone() methods (e.g. epoch predictors) never false-positive."""
     if not _in_src(source.rel) or source.rel == "src/model/allocation.h":
         return
     mentions_allocation = "Allocation" in source.code_text()
@@ -258,20 +259,19 @@ def allocation_copy(source: SourceFile) -> Iterator[Finding]:
                 source.rel, line.lineno, "allocation-copy",
                 "Allocation copy-initialization from an lvalue; price "
                 "deltas against the existing state (alloc::MoveEngine) "
-                "or go through a documented clone() boundary")
+                "or move the allocation (no copy is sanctioned in src/)")
         m = _ALLOC_COPY_CTOR_RE.search(line.code)
         if m is not None and "cloud" not in m.group("arg").lower():
             yield Finding(
                 source.rel, line.lineno, "allocation-copy",
                 "Allocation copy construction; price deltas against the "
-                "existing state (alloc::MoveEngine) or go through a "
-                "documented clone() boundary")
+                "existing state (alloc::MoveEngine) or move the "
+                "allocation (no copy is sanctioned in src/)")
         if mentions_allocation and _CLONE_CALL_RE.search(line.code):
             yield Finding(
                 source.rel, line.lineno, "allocation-copy",
-                "clone() outside the documented boundaries (agent "
-                "snapshot, greedy-base construction); new boundaries "
-                "need a waiver with a justification")
+                "Allocation clone(); no copy is sanctioned in src/, so a "
+                "new one needs a waiver with a justification")
 
 
 @register(
