@@ -105,15 +105,6 @@ struct AllocatorOptions {
   /// cluster, the paper's behavior.
   int cluster_fanout = 0;
 
-  // --- distributed deployment (dist::DistributedAllocator) -------------
-
-  /// Message-passing mode: how long the manager waits for the missing
-  /// agent responses of one improvement round before skipping them
-  /// (Mailbox::receive_for underneath). Also capped by whatever remains
-  /// of time_budget_ms, so a dead agent cannot blow the epoch deadline.
-  /// <= 0 waits indefinitely — only safe with a fault-free transport.
-  double dist_round_timeout_ms = 2000.0;
-
   std::uint64_t seed = 1;
 };
 

@@ -97,11 +97,12 @@ bool AgentActor::apply_delta(const protocol::StateDelta& delta) {
   if (delta.target_version == version_) return true;
   if (delta.target_version < version_) return false;
   if (delta.base_version > version_) return false;  // missed a delta
-  for (const protocol::ClientPlacements& row : delta.changes) {
-    const auto idx = static_cast<std::size_t>(row.client.index());
-    if (idx >= replica_.size()) return false;  // corrupt; refuse wholesale
-    replica_[idx] = row;
-  }
+  // Every row is checked before any is written: a row rebuild() could not
+  // assign refuses the whole delta and leaves the replica as it was.
+  for (const protocol::ClientPlacements& row : delta.changes)
+    if (protocol::row_violation(cloud_, row) != nullptr) return false;
+  for (const protocol::ClientPlacements& row : delta.changes)
+    replica_[static_cast<std::size_t>(row.client.index())] = row;
   version_ = delta.target_version;
   return true;
 }

@@ -55,7 +55,9 @@ class ClusterAgent {
 ///   - a duplicated improve round is answered by resending the cached
 ///     encoded response verbatim (idempotence), never by re-running the
 ///     stages on a regressed replica;
-///   - a stale delta (target not ahead of the replica) never mutates it.
+///   - a stale delta (target not ahead of the replica) never mutates it;
+///   - a delta carrying any row the replica could not be rebuilt from
+///     (protocol::row_violation) is refused whole, like a missed base.
 class AgentActor {
  public:
   AgentActor(const model::Cloud& cloud, model::ClusterId cluster,

@@ -55,6 +55,12 @@ struct DistributedOptions {
   /// Fault injection. Any non-zero probability wraps the channel
   /// transport in a seeded FaultyTransport.
   FaultPlan faults;
+  /// How long the manager waits for the missing agent responses of one
+  /// improvement round before skipping them (Mailbox::receive_for
+  /// underneath). Also capped by whatever remains of
+  /// alloc.time_budget_ms, so a dead agent cannot blow the epoch deadline.
+  /// <= 0 waits indefinitely — only safe with a fault-free transport.
+  double round_timeout_ms = 2000.0;
 };
 
 struct DistributedReport {

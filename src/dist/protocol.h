@@ -1,7 +1,8 @@
 // The manager <-> cluster-agent wire protocol (the paper's "limited
-// communication"): every exchange is an explicit, self-describing message
-// that crosses a Transport channel as encoded bytes — no Allocation
-// pointer, reference, or any other shared mutable state crosses with it.
+// communication"): every exchange is an explicit, typed message that
+// crosses a Transport channel as one binary frame (dist/codec.h) — no
+// Allocation pointer, reference, or any other shared mutable state
+// crosses with it.
 //
 // State replication model: the manager is the authority for the global
 // allocation and stamps it with a monotone `state version` (one bump per
@@ -34,7 +35,7 @@
 
 namespace cloudalloc::dist::protocol {
 
-inline constexpr int kProtocolVersion = 1;
+inline constexpr int kProtocolVersion = 2;
 
 /// One client's absolute assignment (cluster + slices). `cluster ==
 /// kNoCluster` with empty placements means "unassigned" — deltas need it
@@ -98,5 +99,17 @@ using AgentMessage = std::variant<ImproveRequest, Shutdown>;
 /// therefore equal caches, bit for bit.
 model::Allocation rebuild_allocation(const model::Cloud& cloud,
                                      const std::vector<ClientPlacements>& rows);
+
+/// Why rebuild_allocation could not take `row` on `cloud` (a client id out
+/// of range, or an assigned row that Allocation::assign would refuse), or
+/// nullptr if it can. A row from the wire passes this before it is stored.
+const char* row_violation(const model::Cloud& cloud,
+                          const ClientPlacements& row);
+
+/// Why the manager must not merge `improvement`: a row that fails
+/// row_violation, or one that assigns a client to a cluster other than the
+/// reporting one. nullptr if every row can be merged.
+const char* improvement_violation(const model::Cloud& cloud,
+                                  const ClusterImprovement& improvement);
 
 }  // namespace cloudalloc::dist::protocol

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 
 #include "common/check.h"
 #include "common/mathutil.h"
@@ -40,22 +39,33 @@ const std::vector<Placement>& Allocation::placements(ClientId i) const {
   return placements_[i];
 }
 
-void Allocation::assign(ClientId i, ClusterId k, std::vector<Placement> ps) {
-  CHECK(i.valid() && i.value() < cloud_->num_clients());
-  CHECK(k.valid() && k.value() < cloud_->num_clusters());
-  CHECK_MSG(!ps.empty(), "assign needs at least one placement");
+const char* assign_violation(const Cloud& cloud, ClientId i, ClusterId k,
+                             const std::vector<Placement>& ps) {
+  if (!i.valid() || i.value() >= cloud.num_clients())
+    return "client id out of range";
+  if (!k.valid() || k.value() >= cloud.num_clusters())
+    return "cluster id out of range";
+  if (ps.empty()) return "assign needs at least one placement";
   double psi_sum = 0.0;
-  std::set<ServerId> seen;
-  for (const Placement& p : ps) {
-    CHECK(p.server.valid() && p.server.value() < cloud_->num_servers());
-    CHECK_MSG(cloud_->server(p.server).cluster == k,
-              "placement must stay in the assigned cluster");
-    CHECK_MSG(seen.insert(p.server).second, "one placement per server");
-    CHECK_MSG(p.psi > 0.0 && p.psi <= 1.0 + kEps, "psi in (0,1]");
-    CHECK(p.phi_p >= 0.0 && p.phi_n >= 0.0);
+  for (std::size_t s = 0; s < ps.size(); ++s) {
+    const Placement& p = ps[s];
+    if (!p.server.valid() || p.server.value() >= cloud.num_servers())
+      return "server id out of range";
+    if (cloud.server(p.server).cluster != k)
+      return "placement must stay in the assigned cluster";
+    for (std::size_t t = 0; t < s; ++t)
+      if (ps[t].server == p.server) return "one placement per server";
+    if (!(p.psi > 0.0 && p.psi <= 1.0 + kEps)) return "psi in (0,1]";
+    if (!(p.phi_p >= 0.0 && p.phi_n >= 0.0)) return "shares must be >= 0";
     psi_sum += p.psi;
   }
-  CHECK_MSG(near(psi_sum, 1.0, 1e-6), "psi must sum to 1 over the cluster");
+  if (!near(psi_sum, 1.0, 1e-6)) return "psi must sum to 1 over the cluster";
+  return nullptr;
+}
+
+void Allocation::assign(ClientId i, ClusterId k, std::vector<Placement> ps) {
+  const char* violation = assign_violation(*cloud_, i, k, ps);
+  CHECK_MSG(violation == nullptr, violation);
 
   remove_footprint(i);
   cluster_of_[i] = k;

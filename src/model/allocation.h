@@ -44,8 +44,9 @@ class Allocation {
 
   /// Replaces client i's entire assignment. Every placement must reference
   /// a distinct server of cluster `k`, have psi in (0,1] summing to ~1, and
-  /// non-negative shares. Aggregates are updated incrementally, through
-  /// the residual view's add_client/remove_client.
+  /// non-negative shares (CHECKed through assign_violation). Aggregates are
+  /// updated incrementally, through the residual view's add_client/
+  /// remove_client.
   void assign(ClientId i, ClusterId k, std::vector<Placement> ps);
 
   /// Removes client i from the system (no cluster, no placements).
@@ -141,5 +142,12 @@ class Allocation {
 /// of queueing::client_response_time, without building its slice vector.
 double response_time_of(const Cloud& cloud, ClientId i,
                         const std::vector<Placement>& ps);
+
+/// The first precondition of Allocation::assign(i, k, ps) that the
+/// arguments break on `cloud`, as the message assign's CHECK prints, or
+/// nullptr when assign accepts them. Code holding placements from outside
+/// the process checks them here and refuses them instead of aborting.
+const char* assign_violation(const Cloud& cloud, ClientId i, ClusterId k,
+                             const std::vector<Placement>& ps);
 
 }  // namespace cloudalloc::model

@@ -1,6 +1,5 @@
 #include "model/serialize.h"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -364,6 +363,10 @@ std::optional<Cloud> cloud_from_json(const Json& doc, std::string* error) {
                std::move(clients));
 }
 
+namespace {
+
+/// One placement slice -> JSON ({server, psi, phi_p, phi_n}); doubles are
+/// emitted round-trip exactly, so a saved allocation reloads bitwise.
 Json placement_to_json(const Placement& p) {
   JsonObject pj;
   pj.emplace("server", p.server.value());
@@ -373,6 +376,9 @@ Json placement_to_json(const Placement& p) {
   return Json(std::move(pj));
 }
 
+/// JSON -> Placement. Structural validation only (fields present and
+/// numeric, server id non-negative); the cloud-dependent checks are
+/// assign_violation's.
 std::optional<Placement> placement_from_json(const Json& node,
                                              std::string* error) {
   Reader reader;
@@ -388,6 +394,8 @@ std::optional<Placement> placement_from_json(const Json& node,
   }
   return p;
 }
+
+}  // namespace
 
 Json allocation_to_json(const Allocation& alloc) {
   JsonObject root;
@@ -434,28 +442,15 @@ std::optional<Allocation> allocation_from_json(const Cloud& cloud,
     if (!k.valid() || k.value() >= cloud.num_clusters()) return fail("cluster id range");
     if (alloc.is_assigned(i)) return fail("client assigned twice");
     std::vector<Placement> placements;
-    double psi_sum = 0.0;
     for (const auto& pj : reader.array(node, "placements")) {
       std::string perr;
       const auto parsed = placement_from_json(pj, &perr);
       if (!parsed) return fail(perr.c_str());
-      const Placement p = *parsed;
-      // Pre-validate what Allocation::assign CHECKs.
-      if (!p.server.valid() || p.server.value() >= cloud.num_servers())
-        return fail("server id range");
-      if (cloud.server(p.server).cluster != k)
-        return fail("placement outside assigned cluster");
-      if (p.psi <= 0.0 || p.psi > 1.0 + 1e-9 || p.phi_p < 0.0 ||
-          p.phi_n < 0.0)
-        return fail("placement values out of domain");
-      for (const Placement& existing : placements)
-        if (existing.server == p.server)
-          return fail("duplicate placement server");
-      psi_sum += p.psi;
-      placements.push_back(p);
+      placements.push_back(*parsed);
     }
-    if (placements.empty() || std::fabs(psi_sum - 1.0) > 1e-6)
-      return fail("psi does not sum to one");
+    // Pre-validate what Allocation::assign CHECKs.
+    if (const char* violation = assign_violation(cloud, i, k, placements))
+      return fail(violation);
     alloc.assign(i, k, std::move(placements));
   }
   return alloc;

@@ -26,24 +26,13 @@ Json cloud_to_json(const Cloud& cloud);
 std::optional<Cloud> cloud_from_json(const Json& doc,
                                      std::string* error = nullptr);
 
-/// One placement slice -> JSON ({server, psi, phi_p, phi_n}). Doubles are
-/// emitted round-trip exactly (%.17g), so encode/decode is bitwise
-/// lossless — the dist wire codec relies on this for bit-identical runs.
-Json placement_to_json(const Placement& p);
-
-/// JSON -> Placement. Structural validation only (fields present and
-/// numeric, server id non-negative); cloud-dependent checks (id range,
-/// cluster membership, psi domain) stay with the caller, which knows the
-/// cloud. Returns nullopt (and a message in *error) on malformed nodes.
-std::optional<Placement> placement_from_json(const Json& node,
-                                             std::string* error = nullptr);
-
 /// Allocation (placements + cluster map) -> JSON. The document references
 /// the cloud's client/server ids, not its contents.
 Json allocation_to_json(const Allocation& alloc);
 
 /// JSON -> Allocation bound to `cloud`. Validates id ranges and placement
-/// invariants (via Allocation::assign's checks) against that cloud.
+/// invariants (model::assign_violation, the predicate Allocation::assign
+/// CHECKs) against that cloud.
 std::optional<Allocation> allocation_from_json(const Cloud& cloud,
                                                const Json& doc,
                                                std::string* error = nullptr);

@@ -72,9 +72,9 @@ DistributedOptions sweep_options(std::uint64_t seed, const FaultPlan& plan) {
   alloc::AllocatorOptions opts;
   opts.seed = seed;
   opts.max_local_search_rounds = 3;
-  opts.dist_round_timeout_ms = 600.0;
   DistributedOptions dopts{opts};
   dopts.faults = plan;
+  dopts.round_timeout_ms = 600.0;
   return dopts;
 }
 
