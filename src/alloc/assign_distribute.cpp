@@ -357,30 +357,25 @@ std::optional<InsertionPlan> best_insertion(
   ClientContext& context = thread_context();
   context.begin(view.cloud(), i, opts);
   std::optional<InsertionPlan> best;
-  const auto visit = [&](ClusterId k) {
-    auto plan = context.probe(view, k, constraints, stats);
-    if (plan && (!best || plan->score > best->score)) best = std::move(plan);
-  };
   const int num_clusters = view.cloud().num_clusters();
-  const int fanout = opts.cluster_fanout;
-  if (fanout > 0 && fanout < num_clusters) {
-    // Deterministic probe window (see AllocatorOptions::cluster_fanout): a
-    // fixed multiplicative hash of the client id picks the window start,
-    // so the probed set depends only on (client, cluster count) — never
-    // on allocation state, threads or shards — and clients spread evenly
-    // over the clusters.
-    const auto kk = static_cast<std::uint64_t>(num_clusters);
-    const std::uint64_t start =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i.value())) *
-         2654435761ull) %
-        kk;
-    for (int t = 0; t < fanout; ++t)
-      visit(ClusterId{static_cast<int>(
-          (start + static_cast<std::uint64_t>(t)) % kk)});
-    return best;
+  const ProbeWindow window =
+      probe_window(i, num_clusters, opts.cluster_fanout);
+  for (int t = 0; t < window.size; ++t) {
+    auto plan = context.probe(
+        view, ClusterId{(window.first + t) % num_clusters}, constraints,
+        stats);
+    if (plan && (!best || plan->score > best->score)) best = std::move(plan);
   }
-  for (ClusterId k : view.cloud().cluster_ids()) visit(k);
   return best;
+}
+
+ProbeWindow probe_window(ClientId i, int num_clusters, int fanout) {
+  if (fanout <= 0 || fanout >= num_clusters) return {0, num_clusters};
+  const std::uint64_t start =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i.value())) *
+       2654435761ull) %
+      static_cast<std::uint64_t>(num_clusters);
+  return {static_cast<int>(start), fanout};
 }
 
 }  // namespace cloudalloc::alloc

@@ -78,7 +78,23 @@ std::optional<InsertionPlan> assign_distribute(
     const AllocatorOptions& opts, const InsertionConstraints& constraints = {},
     InsertionStats* stats = nullptr);
 
-/// Convenience: best insertion across all clusters (nullopt if none fits).
+/// The clusters best_insertion probes for a client, in probe order:
+/// cluster (first + t) mod K for t in [0, size).
+struct ProbeWindow {
+  int first = 0;
+  int size = 0;
+};
+
+/// Client i's probe window over `num_clusters` clusters (see
+/// AllocatorOptions::cluster_fanout). For a fanout in (0, K) a fixed
+/// multiplicative hash of the client id picks the start, so the window
+/// depends only on (client, K, fanout) — never on allocation state,
+/// threads or shards — and clients spread evenly over the clusters. Any
+/// other fanout gives every cluster, from cluster 0.
+ProbeWindow probe_window(model::ClientId i, int num_clusters, int fanout);
+
+/// Best insertion across client i's probe window (nullopt if none fits);
+/// on equal scores the earlier cluster of the window wins.
 std::optional<InsertionPlan> best_insertion(
     const model::ResidualView& view, model::ClientId i,
     const AllocatorOptions& opts, const InsertionConstraints& constraints = {},

@@ -29,6 +29,10 @@ class ParallelEval {
 
   bool parallel() const { return pool_ != nullptr && pool_->num_workers() > 1; }
 
+  /// Threads a fan-out can run on at once: the pool's workers plus the
+  /// calling thread, or 1 inline.
+  int threads() const { return parallel() ? pool_->num_workers() + 1 : 1; }
+
   /// Runs fn(0..n-1); one task per index. Blocks until all complete.
   template <typename Fn>
   void for_n(int n, const Fn& fn) const {

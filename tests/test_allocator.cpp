@@ -6,9 +6,9 @@
 #include "baselines/proportional_share.h"
 #include "baselines/random_alloc.h"
 #include "common/rng.h"
+#include "exhaustive.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
-#include "opt/exhaustive.h"
 #include "workload/scenario.h"
 
 namespace cloudalloc::alloc {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "opt/exhaustive.h"
+#include "exhaustive.h"
 #include "opt/genetic.h"
 
 namespace cloudalloc::opt {
